@@ -14,16 +14,27 @@
 //!   content hash ([`PlanKey`]). Both lanes hash the same value-complete
 //!   byte stream through differently-seeded `FxHasher`s, so an
 //!   accidental single-lane collision cannot alias two requests.
-//! * **Durability** — a sharded in-memory LRU backed by a JSON-lines
-//!   file. Every record carries a per-record FNV-1a checksum over its
-//!   serialized prefix; the file starts with a generation header.
-//!   Writes go through a temp file plus atomic rename, so a crash
-//!   mid-write leaves either the old file or the new file, never a
-//!   torn one.
-//! * **Self-healing** — warm load verifies each record's checksum and
-//!   shape; corrupt or truncated lines are quarantined into a
-//!   `.quarantine` sidecar (for postmortems) instead of failing
-//!   startup.
+//! * **Durability** — a sharded in-memory LRU backed by an append-only
+//!   JSON-lines journal. The file starts with a generation header;
+//!   every later line is a plan record or a tombstone
+//!   (`{"evict":"<key hex>","crc":"…"}`), and every line carries an
+//!   FNV-1a checksum over its serialized prefix. An insert appends its
+//!   record line plus one tombstone per key it LRU-evicts; a poisoning
+//!   [`PlanCache::evict`] appends a tombstone. Every mutation takes the
+//!   journal lock before any shard lock, so the order of the lines is
+//!   the order of the changes in memory, and a crash mid-append can
+//!   tear only the last line.
+//! * **Compaction** — when the journal holds more than twice as many
+//!   lines as live records, and at open when the warm load found dead
+//!   or quarantined lines, the live set is rewritten through a temp
+//!   file plus atomic rename, so a crash mid-compaction leaves either
+//!   the old journal or the new one, never a torn one.
+//! * **Self-healing** — warm load replays the journal in order (a later
+//!   record replaces an earlier one; a tombstone removes its key),
+//!   verifying each line's checksum and shape; corrupt or truncated
+//!   lines are quarantined into a `.quarantine` sidecar (for
+//!   postmortems) instead of failing startup, and the open compacts
+//!   them away before the next append.
 //! * **Degraded modes** — any persistence I/O error flips the cache to
 //!   memory-only serving with a `cache.degraded` event; it never
 //!   panics and never fails a plan.
@@ -58,6 +69,7 @@ use accpar_partition::{LayerPlan, NetworkPlan, PartitionType, PlanTree, Ratio};
 use accpar_runtime::{lock_unpoisoned, Budget};
 use accpar_sim::{MemModel, Optimizer, SimConfig, SimReport};
 use std::fmt;
+use std::fmt::Write as _;
 use std::hash::Hasher;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -96,7 +108,7 @@ impl PlanKey {
     /// The key as 32 lowercase hex digits (`hi` then `lo`).
     #[must_use]
     pub fn to_hex(self) -> String {
-        format!("{:016x}{:016x}", self.hi, self.lo)
+        self.to_string()
     }
 
     /// Parses the [`PlanKey::to_hex`] form back.
@@ -112,7 +124,7 @@ impl PlanKey {
 
 impl fmt::Display for PlanKey {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.to_hex())
+        write!(f, "{:016x}{:016x}", self.hi, self.lo)
     }
 }
 
@@ -254,7 +266,13 @@ impl CacheOutcome {
     }
 }
 
-// --- JSON codec -------------------------------------------------------
+// --- line codec -------------------------------------------------------
+//
+// Lines are written straight into a `String` and read back through the
+// `Json` parser. A written line is byte-identical to what `Json::compact`
+// renders for the same object, which is how every file of this
+// `FORMAT_VERSION` was written, so old files stay readable and their
+// checksums stay valid.
 
 fn strategy_label(s: Strategy) -> &'static str {
     match s {
@@ -275,11 +293,11 @@ fn strategy_from_label(s: &str) -> Option<Strategy> {
     }
 }
 
-fn ptype_code(t: PartitionType) -> f64 {
+fn ptype_code(t: PartitionType) -> u8 {
     match t {
-        PartitionType::TypeI => 1.0,
-        PartitionType::TypeII => 2.0,
-        PartitionType::TypeIII => 3.0,
+        PartitionType::TypeI => 1,
+        PartitionType::TypeII => 2,
+        PartitionType::TypeIII => 3,
     }
 }
 
@@ -292,12 +310,9 @@ fn ptype_from_code(c: f64) -> Option<PartitionType> {
     }
 }
 
-/// Ratios round-trip as hex-encoded IEEE-754 bits: a decimal rendering
-/// would lose ulps and break the bit-identical-serving guarantee.
-fn f64_bits_hex(v: f64) -> Json {
-    Json::Str(format!("{:016x}", v.to_bits()))
-}
-
+/// Ratios and costs round-trip as hex-encoded IEEE-754 bits: a decimal
+/// rendering would lose ulps and break the bit-identical-serving
+/// guarantee.
 fn f64_from_bits_hex(j: &Json) -> Option<f64> {
     let s = j.as_str()?;
     if s.len() != 16 {
@@ -306,18 +321,39 @@ fn f64_from_bits_hex(j: &Json) -> Option<f64> {
     Some(f64::from_bits(u64::from_str_radix(s, 16).ok()?))
 }
 
-fn plan_to_json(tree: &PlanTree) -> Json {
-    let layers: Vec<Json> = tree
-        .plan()
-        .layers()
-        .iter()
-        .map(|l| Json::Arr(vec![Json::Num(ptype_code(l.ptype)), f64_bits_hex(l.ratio.value())]))
-        .collect();
-    let mut fields = vec![("layers", Json::Arr(layers))];
-    if let Some((l, r)) = tree.children() {
-        fields.push(("children", Json::Arr(vec![plan_to_json(l), plan_to_json(r)])));
+/// Appends one layer as `[type code,"ratio bits"]`, the bits as 16
+/// lowercase hex digits. Equivalent to `write!(out, "[{},\"{:016x}\"]", …)`
+/// without the formatter's overhead, which dominated encoding deep plans.
+fn push_layer(out: &mut String, layer: &LayerPlan) {
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
+    let bits = layer.ratio.value().to_bits();
+    let mut text = *b"[0,\"0000000000000000\"]";
+    text[1] += ptype_code(layer.ptype);
+    for (i, digit) in text[4..20].iter_mut().enumerate() {
+        *digit = DIGITS[(bits >> (60 - 4 * i)) as usize & 0xf];
     }
-    Json::obj(fields)
+    out.push_str(std::str::from_utf8(&text).unwrap_or_default());
+}
+
+/// Appends `tree` as `{"layers":[[type code,"ratio bits"],…]}`, with a
+/// `"children"` pair for a branch.
+fn push_plan(out: &mut String, tree: &PlanTree) {
+    out.push_str("{\"layers\":[");
+    for (i, layer) in tree.plan().layers().iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        push_layer(out, layer);
+    }
+    out.push(']');
+    if let Some((left, right)) = tree.children() {
+        out.push_str(",\"children\":[");
+        push_plan(out, left);
+        out.push(',');
+        push_plan(out, right);
+        out.push(']');
+    }
+    out.push('}');
 }
 
 fn plan_from_json(j: &Json) -> Option<PlanTree> {
@@ -348,7 +384,7 @@ fn plan_from_json(j: &Json) -> Option<PlanTree> {
     }
 }
 
-/// FNV-1a 64 over raw bytes — the per-record checksum. Deliberately a
+/// FNV-1a 64 over raw bytes — the per-line checksum. Deliberately a
 /// *different* hash family than the FxHash key lanes, so a corruption
 /// that happened to preserve one cannot be masked by the other.
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -360,14 +396,12 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Renders `value` (an object without a `crc` field) as one JSONL line
-/// with the checksum over everything before `,"crc"` appended as the
-/// final field.
-fn seal_line(value: &Json) -> String {
-    let body = value.compact();
-    // `body` is `{...}`; splice the crc in before the closing brace.
-    let prefix = &body[..body.len() - 1];
-    format!("{prefix},\"crc\":\"{:016x}\"}}", fnv1a(prefix.as_bytes()))
+/// Closes the line that starts at byte `start` of `out` — an object
+/// still missing its closing brace — with the checksum over everything
+/// from `start` on as the final field, then a newline.
+fn seal(out: &mut String, start: usize) {
+    let crc = fnv1a(&out.as_bytes()[start..]);
+    let _ = writeln!(out, ",\"crc\":\"{crc:016x}\"}}");
 }
 
 /// Verifies and strips a sealed line's checksum, returning the parsed
@@ -387,33 +421,58 @@ fn open_line(line: &str) -> Option<Json> {
     Json::parse(line).ok()
 }
 
-fn record_to_line(record: &PlanRecord) -> String {
-    seal_line(&Json::obj(vec![
-        ("key", Json::str(record.key.to_hex())),
-        ("strategy", Json::str(strategy_label(record.strategy))),
-        ("levels", Json::Num(record.levels as f64)),
-        ("cost", f64_bits_hex(record.cost)),
-        ("plan", plan_to_json(&record.plan)),
-    ]))
+/// Appends `record`'s sealed line.
+fn push_record(out: &mut String, record: &PlanRecord) {
+    let start = out.len();
+    let _ = write!(
+        out,
+        "{{\"key\":\"{}\",\"strategy\":\"{}\",\"levels\":{},\"cost\":\"{:016x}\",\"plan\":",
+        record.key,
+        strategy_label(record.strategy),
+        record.levels,
+        record.cost.to_bits()
+    );
+    push_plan(out, &record.plan);
+    seal(out, start);
 }
 
-fn record_from_line(line: &str) -> Option<PlanRecord> {
+/// Appends the sealed tombstone line that removes `key`.
+fn push_tombstone(out: &mut String, key: PlanKey) {
+    let start = out.len();
+    let _ = write!(out, "{{\"evict\":\"{key}\"");
+    seal(out, start);
+}
+
+/// Appends the sealed header line that opens a journal.
+fn push_header(out: &mut String, generation: u64) {
+    let start = out.len();
+    let _ = write!(
+        out,
+        "{{\"magic\":\"accpar-plan-cache\",\"version\":{FORMAT_VERSION},\"generation\":{generation}"
+    );
+    seal(out, start);
+}
+
+/// One verified journal line after the header.
+enum JournalLine {
+    /// A plan record; replaces any earlier record of its key.
+    Record(PlanRecord),
+    /// A tombstone; removes its key.
+    Evict(PlanKey),
+}
+
+fn decode_line(line: &str) -> Option<JournalLine> {
     let j = open_line(line)?;
-    Some(PlanRecord {
+    if let Some(key) = j.get("evict") {
+        return Some(JournalLine::Evict(PlanKey::from_hex(key.as_str()?)?));
+    }
+    Some(JournalLine::Record(PlanRecord {
         key: PlanKey::from_hex(j.get("key")?.as_str()?)?,
         strategy: strategy_from_label(j.get("strategy")?.as_str()?)?,
         levels: j.get("levels")?.as_f64()? as usize,
         cost: f64_from_bits_hex(j.get("cost")?)?,
         plan: plan_from_json(j.get("plan")?)?,
-    })
-}
-
-fn header_line(generation: u64) -> String {
-    seal_line(&Json::obj(vec![
-        ("magic", Json::str("accpar-plan-cache")),
-        ("version", Json::Num(FORMAT_VERSION as f64)),
-        ("generation", Json::Num(generation as f64)),
-    ]))
+    }))
 }
 
 /// Parses and verifies a header line, returning its generation.
@@ -471,10 +530,25 @@ struct Shard {
     map: FxHashMap<PlanKey, Entry>,
 }
 
+/// The append-only journal behind a persistent cache. Its mutex is the
+/// outermost lock: every mutation holds it, before any shard lock, until
+/// its lines are written, so the journal's order is the memory order.
+#[derive(Debug, Default)]
+struct Journal {
+    /// Write handle at the end of the file; `None` for a memory-only
+    /// cache and after an I/O error.
+    out: Option<fs::File>,
+    /// Lines after the header: live records plus dead ones (superseded
+    /// records and tombstones).
+    lines: usize,
+    /// The lines of the write being assembled, reused across writes.
+    buf: String,
+}
+
 /// What a warm load found on disk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct LoadReport {
-    /// Records verified and admitted to memory.
+    /// Records live after the replay (verified and admitted to memory).
     pub loaded: usize,
     /// Lines (or whole files) moved to the `.quarantine` sidecar.
     pub quarantined: usize,
@@ -490,6 +564,7 @@ pub struct PlanCache {
     generation: AtomicU64,
     /// Persistence target; `None` for a memory-only cache.
     file: Option<PathBuf>,
+    journal: Mutex<Journal>,
     /// Cleared on the first I/O error: the cache keeps serving from
     /// memory and stops touching the disk.
     persist_ok: AtomicBool,
@@ -525,6 +600,7 @@ impl PlanCache {
             clock: AtomicU64::new(0),
             generation: AtomicU64::new(0),
             file: None,
+            journal: Mutex::new(Journal::default()),
             persist_ok: AtomicBool::new(true),
             load_report: LoadReport::default(),
             obs: Obs::off(),
@@ -539,10 +615,11 @@ impl PlanCache {
     }
 
     /// Opens (or creates) a persistent cache under `dir`, warm-loading
-    /// `plans.jsonl` with per-record verification. Never fails: corrupt
-    /// records are quarantined, I/O errors degrade to memory-only
-    /// serving — both observable via [`PlanCache::load_report`] /
-    /// [`PlanCache::stats`] and the attached [`Obs`].
+    /// the `plans.jsonl` journal with per-line verification. Never
+    /// fails: corrupt lines are quarantined, I/O errors degrade to
+    /// memory-only serving — both observable via
+    /// [`PlanCache::load_report`] / [`PlanCache::stats`] and the attached
+    /// [`Obs`].
     #[must_use]
     pub fn open(dir: &Path, cap: usize, obs: Obs) -> Self {
         let mut cache = Self::memory(cap);
@@ -552,7 +629,7 @@ impl PlanCache {
             cache.degrade("create cache dir", &e);
             return cache;
         }
-        cache.warm_load();
+        cache.load_report = cache.warm_load();
         cache
     }
 
@@ -573,9 +650,10 @@ impl PlanCache {
         self.load_report
     }
 
-    /// The persistence generation: how many times the file has been
-    /// rewritten over its lifetime (carried across restarts by the file
-    /// header).
+    /// The persistence generation: how many writes the file has taken
+    /// over its lifetime, counting one per appended journal line and one
+    /// per compaction. It is carried across restarts by the header plus
+    /// the lines after it, so it never falls across a reopen.
     #[must_use]
     pub fn generation(&self) -> u64 {
         self.generation.load(Ordering::Relaxed)
@@ -672,12 +750,13 @@ impl PlanCache {
             .collect()
     }
 
-    /// Inserts (or replaces) a record and writes the file through when
-    /// persistence is healthy. LRU pressure evicts the stalest entry of
-    /// the record's shard once the shard exceeds its slice of the cap.
-    /// The record starts *unverified*: its first serve pays the full
-    /// BSP cross-check ([`PlanCache::insert_verified`] skips that for
-    /// records whose report the caller just computed).
+    /// Inserts (or replaces) a record and appends its line to the journal
+    /// when persistence is healthy. LRU pressure evicts the stalest entry
+    /// of the record's shard once the shard exceeds its slice of the cap,
+    /// appending a tombstone for each key it removes. The record starts
+    /// *unverified*: its first serve pays the full BSP cross-check
+    /// ([`PlanCache::insert_verified`] skips that for records whose
+    /// report the caller just computed).
     pub fn insert(&self, record: PlanRecord) {
         self.insert_entry(record, None);
     }
@@ -699,6 +778,11 @@ impl PlanCache {
     }
 
     fn insert_entry(&self, record: PlanRecord, verified: Option<SimReport>) {
+        let mut journal = lock_unpoisoned(&self.journal);
+        let writing = self.persistent();
+        if writing {
+            push_record(&mut journal.buf, &record);
+        }
         let tick = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
         let key = record.key;
         let shard_cap = self.cap.div_ceil(SHARDS).max(1);
@@ -720,18 +804,22 @@ impl PlanCache {
                     .map(|(k, _)| *k)
                     .expect("non-empty shard has a minimum");
                 shard.map.remove(&stalest);
+                if writing {
+                    push_tombstone(&mut journal.buf, stalest);
+                }
                 self.evictions.fetch_add(1, Ordering::Relaxed);
                 if self.obs.enabled() {
                     self.obs.counter("cache.evict").inc();
                 }
             }
         }
-        self.persist();
+        self.commit(&mut journal);
     }
 
-    /// Removes a record (poisoning eviction). Returns whether it was
-    /// present.
+    /// Removes a record (poisoning eviction) and appends its tombstone
+    /// to the journal. Returns whether it was present.
     pub fn evict(&self, key: &PlanKey) -> bool {
+        let mut journal = lock_unpoisoned(&self.journal);
         let removed = lock_unpoisoned(self.shard(key)).map.remove(key).is_some();
         if removed {
             self.evictions.fetch_add(1, Ordering::Relaxed);
@@ -740,7 +828,10 @@ impl PlanCache {
                 self.obs.counter("cache.evict").inc();
                 self.obs.counter("cache.poisoned").inc();
             }
-            self.persist();
+            if self.persistent() {
+                push_tombstone(&mut journal.buf, *key);
+                self.commit(&mut journal);
+            }
         }
         removed
     }
@@ -786,7 +877,7 @@ impl PlanCache {
             );
         }
         // Best-effort: losing the postmortem copy must not fail the
-        // load (the bad line is dropped from the rewrite either way).
+        // load (the open compacts the bad line away either way).
         let _ = fs::OpenOptions::new()
             .create(true)
             .append(true)
@@ -794,95 +885,145 @@ impl PlanCache {
             .and_then(|mut f| writeln!(f, "{line}"));
     }
 
-    fn warm_load(&mut self) {
-        let Some(file) = self.file.clone() else {
-            return;
+    /// Replays the journal into memory, then either reopens it for
+    /// appending or, when the replay found dead or quarantined lines (or
+    /// no journal at all), compacts it.
+    fn warm_load(&self) -> LoadReport {
+        let Some(file) = &self.file else {
+            return LoadReport::default();
         };
         let sidecar = file.with_extension("jsonl.quarantine");
-        let text = match fs::read_to_string(&file) {
+        let mut journal = lock_unpoisoned(&self.journal);
+        let text = match fs::read_to_string(file) {
             Ok(text) => text,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => String::new(),
             Err(e) => {
                 self.degrade("read cache file", &e);
-                return;
+                return LoadReport::default();
             }
         };
         let mut quarantined = 0usize;
-        let mut loaded = 0usize;
         let mut lines = text.split_inclusive('\n');
-        match lines.next() {
-            None => {}
-            Some(header) => match header.strip_suffix('\n').and_then(header_generation) {
-                Some(generation) => {
-                    self.generation.store(generation, Ordering::Relaxed);
-                    for raw in lines {
-                        let Some(line) = raw.strip_suffix('\n') else {
-                            // Truncated tail: the crash interrupted this
-                            // write mid-line.
-                            self.quarantine_line(&sidecar, raw, "truncated-tail");
-                            quarantined += 1;
-                            continue;
-                        };
-                        if line.is_empty() {
-                            continue;
+        let clean = match lines.next().map(|h| h.strip_suffix('\n').and_then(header_generation)) {
+            None => false,
+            Some(Some(generation)) => {
+                for raw in lines {
+                    journal.lines += 1;
+                    let Some(line) = raw.strip_suffix('\n') else {
+                        // Truncated tail: the crash interrupted this
+                        // append mid-line.
+                        self.quarantine_line(&sidecar, raw, "truncated-tail");
+                        quarantined += 1;
+                        continue;
+                    };
+                    if line.is_empty() {
+                        continue;
+                    }
+                    match decode_line(line) {
+                        Some(JournalLine::Record(record)) => {
+                            let tick = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
+                            lock_unpoisoned(self.shard(&record.key)).map.insert(
+                                record.key,
+                                Entry {
+                                    record,
+                                    tick,
+                                    verified: None,
+                                },
+                            );
                         }
-                        match record_from_line(line) {
-                            Some(record) => {
-                                let tick = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
-                                lock_unpoisoned(self.shard(&record.key)).map.insert(
-                                    record.key,
-                                    Entry {
-                                        record,
-                                        tick,
-                                        verified: None,
-                                    },
-                                );
-                                loaded += 1;
-                            }
-                            None => {
-                                self.quarantine_line(&sidecar, line, "checksum-or-schema");
-                                quarantined += 1;
-                            }
+                        Some(JournalLine::Evict(key)) => {
+                            lock_unpoisoned(self.shard(&key)).map.remove(&key);
+                        }
+                        None => {
+                            self.quarantine_line(&sidecar, line, "checksum-or-schema");
+                            quarantined += 1;
                         }
                     }
                 }
-                None => {
-                    // The header itself is unreadable: nothing below it
-                    // can be trusted — quarantine the whole file.
-                    self.quarantine_line(&sidecar, text.trim_end_matches('\n'), "bad-header");
-                    quarantined += 1;
-                }
-            },
+                self.generation
+                    .store(generation + journal.lines as u64, Ordering::Relaxed);
+                true
+            }
+            Some(None) => {
+                // The header itself is unreadable: nothing below it
+                // can be trusted — quarantine the whole file.
+                self.quarantine_line(&sidecar, text.trim_end_matches('\n'), "bad-header");
+                quarantined += 1;
+                false
+            }
+        };
+        let loaded = self.len();
+        if clean && journal.lines == loaded {
+            // Every line is a live record: keep appending to the file.
+            match fs::OpenOptions::new().append(true).open(file) {
+                Ok(out) => journal.out = Some(out),
+                Err(e) => self.degrade("open cache journal", &e),
+            }
+        } else {
+            // Rewrite now, so bad bytes cannot resurface and the next
+            // append starts on a clean line.
+            self.compact(&mut journal);
         }
-        self.load_report = LoadReport { loaded, quarantined };
-        if quarantined > 0 {
-            // Rewrite immediately so the bad bytes cannot resurface.
-            self.persist();
+        LoadReport { loaded, quarantined }
+    }
+
+    /// Appends the lines assembled in the journal's buffer, then compacts
+    /// once the journal holds more than twice as many lines as live
+    /// records. Caller holds the journal lock.
+    fn commit(&self, journal: &mut Journal) {
+        if journal.buf.is_empty() {
+            return;
+        }
+        let lines = journal.buf.matches('\n').count();
+        let written = match &mut journal.out {
+            Some(out) => out.write_all(journal.buf.as_bytes()),
+            None => Err(io::ErrorKind::NotFound.into()),
+        };
+        journal.buf.clear();
+        if let Err(e) = written {
+            self.degrade("append to cache journal", &e);
+            return;
+        }
+        journal.lines += lines;
+        self.generation.fetch_add(lines as u64, Ordering::Relaxed);
+        if journal.lines > 2 * self.len() {
+            self.compact(journal);
         }
     }
 
-    /// Writes the full snapshot through temp-file + atomic rename.
-    /// Called with no shard lock held; concurrent persists may
-    /// interleave, but each writes a complete, checksummed snapshot, so
-    /// the file is always wholly one generation.
-    fn persist(&self) {
+    /// Rewrites the journal as a header plus one line per live record,
+    /// through a temp file and an atomic rename, so a crash leaves either
+    /// the old journal or the new one. Lines are written one at a time,
+    /// so the buffer never holds more than the largest record. Caller
+    /// holds the journal lock.
+    fn compact(&self, journal: &mut Journal) {
         let Some(file) = &self.file else { return };
-        if !self.persist_ok.load(Ordering::Relaxed) {
-            return;
-        }
         let generation = self.generation.fetch_add(1, Ordering::Relaxed) + 1;
-        let mut out = header_line(generation);
-        out.push('\n');
-        for shard in &self.shards {
-            for entry in lock_unpoisoned(shard).map.values() {
-                out.push_str(&record_to_line(&entry.record));
-                out.push('\n');
-            }
-        }
+        let out = &mut journal.buf;
+        let mut live = 0;
         let tmp = file.with_extension("jsonl.tmp");
-        let result = fs::write(&tmp, out.as_bytes()).and_then(|()| fs::rename(&tmp, file));
-        if let Err(e) = result {
-            self.degrade("persist cache file", &e);
+        let written = fs::File::create(&tmp).and_then(|mut f| {
+            push_header(out, generation);
+            f.write_all(out.as_bytes())?;
+            for shard in &self.shards {
+                for entry in lock_unpoisoned(shard).map.values() {
+                    out.clear();
+                    push_record(out, &entry.record);
+                    f.write_all(out.as_bytes())?;
+                    live += 1;
+                }
+            }
+            fs::rename(&tmp, file)?;
+            Ok(f)
+        });
+        out.clear();
+        journal.lines = live;
+        match written {
+            Ok(f) => journal.out = Some(f),
+            Err(e) => {
+                journal.out = None;
+                self.degrade("compact cache journal", &e);
+            }
         }
     }
 }
@@ -890,6 +1031,26 @@ impl PlanCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One record's sealed line, without the newline.
+    fn record_to_line(record: &PlanRecord) -> String {
+        let mut out = String::new();
+        push_record(&mut out, record);
+        out.strip_suffix('\n').expect("sealed lines end in a newline").to_owned()
+    }
+
+    fn record_from_line(line: &str) -> Option<PlanRecord> {
+        match decode_line(line)? {
+            JournalLine::Record(record) => Some(record),
+            JournalLine::Evict(_) => None,
+        }
+    }
+
+    fn header_line(generation: u64) -> String {
+        let mut out = String::new();
+        push_header(&mut out, generation);
+        out.strip_suffix('\n').expect("sealed lines end in a newline").to_owned()
+    }
 
     fn record(hi: u64, cost: f64) -> PlanRecord {
         PlanRecord {
@@ -936,6 +1097,71 @@ mod tests {
                 assert_eq!(r, record(9, 0.5), "flip at byte {i} changed the record");
             }
         }
+    }
+
+    /// A header and a two-level record covering all three partition
+    /// types, as the `Json` tree encoder rendered them (`Json::compact`
+    /// wrote every earlier file of this format version).
+    const PINNED_HEADER: &str =
+        r#"{"magic":"accpar-plan-cache","version":1,"generation":3,"crc":"2ee3fbf850ec3912"}"#;
+    const PINNED_RECORD: &str = concat!(
+        r#"{"key":"0123456789abcdeffedcba9876543210","strategy":"AccPar","levels":2,"#,
+        r#""cost":"3f5437c5692b3cc5","plan":{"layers":[[1,"3fe0000000000000"],"#,
+        r#"[2,"3fd8000000000000"],[3,"3fb999999999999a"]],"children":[{"layers":"#,
+        r#"[[1,"3fd0000000000000"],[2,"3fe3c6ef372fe950"],[3,"3fe0000000000000"]]},"#,
+        r#"{"layers":[[1,"3fe8000000000000"],[2,"3fe0000000000000"],"#,
+        r#"[3,"3fd5555555555555"]]}]},"crc":"579ab42e1dddb267"}"#
+    );
+
+    fn pinned_record() -> PlanRecord {
+        let layers = |a: f64, b: f64, c: f64| {
+            NetworkPlan::new(vec![
+                LayerPlan::new(PartitionType::TypeI, Ratio::new(a).unwrap()),
+                LayerPlan::new(PartitionType::TypeII, Ratio::new(b).unwrap()),
+                LayerPlan::new(PartitionType::TypeIII, Ratio::new(c).unwrap()),
+            ])
+        };
+        PlanRecord {
+            key: PlanKey {
+                hi: 0x0123_4567_89ab_cdef,
+                lo: 0xfedc_ba98_7654_3210,
+            },
+            strategy: Strategy::AccPar,
+            levels: 2,
+            cost: 1.234e-3,
+            plan: PlanTree::branch(
+                layers(0.5, 0.375, 0.1),
+                PlanTree::leaf(layers(0.25, 0.618_033_988_749_894_9, 0.5)),
+                PlanTree::leaf(layers(0.75, 0.5, 1.0 / 3.0)),
+            ),
+        }
+    }
+
+    #[test]
+    fn record_line_is_pinned_to_the_json_tree_encoding() {
+        assert_eq!(record_to_line(&pinned_record()), PINNED_RECORD);
+        assert_eq!(header_line(3), PINNED_HEADER);
+        // A file written in that format warm-loads bit for bit, and as
+        // it holds no dead line the open leaves it untouched.
+        let dir = std::env::temp_dir().join(format!(
+            "accpar-cache-pinned-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        let file = dir.join("plans.jsonl");
+        let text = format!("{PINNED_HEADER}\n{PINNED_RECORD}\n");
+        fs::write(&file, &text).unwrap();
+        let cache = PlanCache::open(&dir, 16, Obs::off());
+        assert_eq!(cache.load_report(), LoadReport { loaded: 1, quarantined: 0 });
+        let want = pinned_record();
+        let got = cache.peek(&want.key).unwrap();
+        assert_eq!(got, want);
+        assert_eq!(got.cost.to_bits(), want.cost.to_bits());
+        assert_eq!(cache.generation(), 4, "header generation plus one line");
+        assert_eq!(fs::read_to_string(&file).unwrap(), text);
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -238,7 +238,12 @@ pub struct Decision {
     pub serving_secs: Option<f64>,
     /// Step time of the *healthy baseline* plan on the same degraded
     /// hardware, when it can still run there — the never-worse
-    /// reference: `serving_secs` never exceeds it.
+    /// reference. `serving_secs` never exceeds it, with one exception: a
+    /// [`Keep`](SuperviseAction::Keep) on a recovery-only batch serves the
+    /// incumbent while the fresh replan is within
+    /// [`promote_margin`](SuperviseConfig::promote_margin) of it, so that
+    /// decision is bounded by
+    /// `serving_secs ≤ stale_secs / (1 − promote_margin)` instead.
     pub stale_secs: Option<f64>,
     /// `serving_secs` over the nominal step time
     /// ([`f64::INFINITY`] when shed).
@@ -1103,6 +1108,63 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A seeded random timeline followed by a recovery of every leaf
+    /// and cut, one per batch: most late decisions are recovery-only,
+    /// the case the promote margin governs.
+    fn recovery_heavy(seed: u64, leaves: usize, cuts: usize) -> HealthSchedule {
+        let mut schedule = HealthSchedule::random(seed, leaves, cuts, 24).unwrap();
+        let mut at = schedule.events().last().map_or(0.0, |e| e.at);
+        for leaf in 0..leaves {
+            at += 1.0;
+            schedule = schedule.push(at, HealthEventKind::Recover { leaf }).unwrap();
+        }
+        for cut in 0..cuts {
+            at += 1.0;
+            schedule = schedule
+                .push(at, HealthEventKind::BandwidthJitter { cut, factor: 1.0 })
+                .unwrap();
+        }
+        schedule
+    }
+
+    #[test]
+    fn keep_is_bounded_by_the_promote_margin_and_every_other_action_by_stale() {
+        let margin = SuperviseConfig::default().promote_margin;
+        // AlexNet on 2+2: recovered incumbents land within the margin of
+        // the replan, so some Keeps really serve above the stale plan.
+        let net = zoo::alexnet(128).unwrap();
+        let array = AcceleratorArray::heterogeneous_tpu(2, 2);
+        let config = SuperviseConfig {
+            threads: Some(1),
+            ..SuperviseConfig::default()
+        };
+        let mut within_margin = 0;
+        for seed in 0..12 {
+            let mut sup = Supervisor::new(&net, &array, Some(2), config.clone()).unwrap();
+            let schedule = recovery_heavy(seed, sup.leaf_count(), sup.cut_count());
+            sup.run(&schedule).unwrap();
+            for decision in sup.decisions() {
+                let (Some(serving), Some(stale)) = (decision.serving_secs, decision.stale_secs)
+                else {
+                    continue;
+                };
+                if decision.action == SuperviseAction::Keep {
+                    within_margin += usize::from(serving > stale);
+                    assert!(
+                        serving <= stale / (1.0 - margin) * (1.0 + 1e-12),
+                        "seed {seed}, {decision}: serving {serving} beyond the margin over stale {stale}"
+                    );
+                } else {
+                    assert!(
+                        serving <= stale * (1.0 + 1e-12),
+                        "seed {seed}, {decision}: serving {serving} worse than stale {stale}"
+                    );
+                }
+            }
+        }
+        assert!(within_margin > 0, "no Keep served above its stale plan");
     }
 
     #[test]

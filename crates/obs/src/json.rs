@@ -325,13 +325,26 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run of plain characters up to the next quote or
+            // backslash in one step. Both are ASCII, so the run ends on
+            // a character boundary of the `&str` input.
+            let rest = &self.bytes[self.pos..];
+            let run = rest
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .unwrap_or(rest.len());
+            out.push_str(
+                std::str::from_utf8(&rest[..run]).map_err(|_| "invalid utf-8".to_string())?,
+            );
+            self.pos += run;
             match self.bytes.get(self.pos) {
                 None => return Err("unterminated string".into()),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
+                // The run stopped at a backslash.
+                Some(_) => {
                     self.pos += 1;
                     match self.bytes.get(self.pos) {
                         Some(b'"') => out.push('"'),
@@ -358,15 +371,6 @@ impl Parser<'_> {
                         _ => return Err(format!("invalid escape at byte {}", self.pos)),
                     }
                     self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 character (input is a &str, so
-                    // boundaries are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| "invalid utf-8".to_string())?;
-                    let c = s.chars().next().ok_or("unterminated string")?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
                 }
             }
         }
@@ -459,6 +463,36 @@ mod tests {
         assert!(Json::parse("[1, 2").is_err());
         assert!(Json::parse("true false").is_err());
         assert_eq!(Json::parse("-2.5e3").unwrap().as_f64(), Some(-2500.0));
+    }
+
+    #[test]
+    fn multibyte_text_next_to_escapes_decodes() {
+        let line = "[\"h\u{e9}\\\"llo\", \"\\n\u{65e5}\u{672c}\\t\", \"\u{1f600}\\\\\u{fc}\"]";
+        let v = Json::parse(line).unwrap();
+        let Json::Arr(items) = v else { panic!("not an array") };
+        let strs: Vec<_> = items.iter().map(|j| j.as_str().unwrap()).collect();
+        assert_eq!(strs, ["h\u{e9}\"llo", "\n\u{65e5}\u{672c}\t", "\u{1f600}\\\u{fc}"]);
+        // And back through the emitter.
+        assert_eq!(Json::parse(&Json::Arr(items.clone()).compact()).unwrap(), Json::Arr(items));
+    }
+
+    #[test]
+    fn unicode_escapes_decode() {
+        let v = Json::parse(r#""\u00e9\u65E5x\u0041\ud800""#).unwrap();
+        // Upper- and lowercase hex; an unpaired surrogate becomes U+FFFD.
+        assert_eq!(v.as_str(), Some("\u{e9}\u{65e5}xA\u{fffd}"));
+        assert!(Json::parse(r#""\u00""#).is_err(), "truncated escape");
+        assert!(Json::parse(r#""\u00zz""#).is_err(), "non-hex escape");
+        assert!(Json::parse(r#""\q""#).is_err(), "unknown escape");
+    }
+
+    #[test]
+    fn unterminated_strings_are_errors() {
+        for text in ["\"abc", "\"", "\"ab\\\"", "{\"k\":\"\u{e9}"] {
+            assert_eq!(Json::parse(text), Err("unterminated string".to_string()), "{text:?}");
+        }
+        // A backslash with nothing after it is a broken escape.
+        assert!(Json::parse("\"ab\\").is_err());
     }
 
     #[test]

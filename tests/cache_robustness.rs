@@ -2,11 +2,13 @@
 //! detected or harmless (never a wrong plan), a crash mid-write
 //! recovers by quarantining the torn tail, degraded hardware demotes
 //! hits to replans, and persistence I/O failure degrades to
-//! memory-only serving — never a panic, never a startup failure.
+//! memory-only serving — never a panic, never a startup failure. The
+//! append-only journal replays to exactly the live cache, stays within
+//! twice the live set, and heals a torn append before the next one.
 
 use accpar::prelude::*;
-use accpar_core::cache::POISON_TOLERANCE;
-use accpar_core::{PlanCache, PlanRecord};
+use accpar_core::cache::{plan_key, POISON_TOLERANCE};
+use accpar_core::{LoadReport, PlanCache, PlanKey, PlanRecord};
 use std::fs;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -310,4 +312,224 @@ fn io_failure_degrades_to_memory_only_serving() {
     assert_eq!(cache.stats().hits, 1, "memory-only serving still caches");
     assert!(cache.stats().io_errors >= 1);
     assert_eq!(first.plan(), second.plan());
+}
+
+// --- the append-only journal -------------------------------------------
+
+/// `n` distinct keys, spread over the shards: one request fingerprinted
+/// at hierarchy depths `1..=n`, a value the key hashes.
+fn keys(n: usize) -> Vec<PlanKey> {
+    let (network, array) = setup();
+    let view = network.train_view().expect("lenet lowers");
+    (1..=n)
+        .map(|levels| {
+            plan_key(
+                &view,
+                &array,
+                Strategy::AccPar,
+                levels,
+                &CostConfig::default(),
+                &RatioSolver::default(),
+                &SimConfig::cost_model_aligned(),
+                &Budget::unlimited(),
+            )
+        })
+        .collect()
+}
+
+/// A synthetic record for `key` whose cost and ratios vary with `salt`.
+fn record(key: PlanKey, salt: usize) -> PlanRecord {
+    let ratio = Ratio::new(0.25 + (salt % 97) as f64 / 200.0).expect("ratio in (0, 1]");
+    PlanRecord {
+        key,
+        strategy: Strategy::AccPar,
+        levels: 2,
+        cost: 1e-3 * (1.0 + salt as f64 / 7.0),
+        plan: PlanTree::uniform(&[
+            NetworkPlan::uniform(4, LayerPlan::new(PartitionType::TypeII, ratio)),
+            NetworkPlan::uniform(4, LayerPlan::new(PartitionType::TypeIII, ratio)),
+        ]),
+    }
+}
+
+/// Asserts two record sets are equal, costs bit for bit.
+fn assert_same_records(got: Vec<PlanRecord>, want: Vec<PlanRecord>) {
+    let sorted = |mut records: Vec<PlanRecord>| {
+        records.sort_by_key(|r| r.key.to_hex());
+        records
+    };
+    let (got, want) = (sorted(got), sorted(want));
+    assert_eq!(got, want);
+    for (g, w) in got.iter().zip(&want) {
+        assert_eq!(g.cost.to_bits(), w.cost.to_bits(), "cost of {}", g.key);
+    }
+}
+
+/// Journal lines after the header.
+fn journal_lines(dir: &std::path::Path) -> Vec<String> {
+    let text = fs::read_to_string(dir.join("plans.jsonl")).expect("journal exists");
+    text.lines().skip(1).map(str::to_owned).collect()
+}
+
+#[test]
+fn poison_eviction_then_reinsert_replays_to_the_new_record() {
+    let dir = cache_dir("journal-poison");
+    let k = keys(2);
+    let cache = PlanCache::open(&dir, 64, Obs::off());
+    cache.insert(record(k[0], 1));
+    cache.insert(record(k[1], 2));
+    assert!(cache.evict(&k[0]));
+    // The tombstone alone already removes A from a replay.
+    let side = cache_dir("journal-poison-side");
+    fs::create_dir_all(&side).unwrap();
+    fs::copy(dir.join("plans.jsonl"), side.join("plans.jsonl")).unwrap();
+    assert_same_records(
+        PlanCache::open(&side, 64, Obs::off()).records(),
+        vec![record(k[1], 2)],
+    );
+    let _ = fs::remove_dir_all(&side);
+    cache.insert(record(k[0], 3));
+    drop(cache);
+    let reopened = PlanCache::open(&dir, 64, Obs::off());
+    assert_eq!(reopened.load_report(), LoadReport { loaded: 2, quarantined: 0 });
+    assert_same_records(reopened.records(), vec![record(k[1], 2), record(k[0], 3)]);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn lru_evicted_keys_stay_gone_after_a_reopen() {
+    let dir = cache_dir("journal-lru");
+    let k = keys(64);
+    // One slot per shard: most inserts evict.
+    let cache = PlanCache::open(&dir, 8, Obs::off());
+    let mut inserted = 0;
+    for (i, key) in k.iter().enumerate() {
+        cache.insert(record(*key, i));
+        inserted += 1;
+        // Stop where the journal still holds tombstones, so the reopen
+        // has to replay them rather than read a fresh compaction.
+        if i >= 16 && journal_lines(&dir).iter().any(|l| l.starts_with("{\"evict\":")) {
+            break;
+        }
+    }
+    assert!(
+        journal_lines(&dir).iter().any(|l| l.starts_with("{\"evict\":")),
+        "the reopen must replay tombstones"
+    );
+    let evicted: Vec<PlanKey> = k[..inserted]
+        .iter()
+        .copied()
+        .filter(|key| cache.peek(key).is_none())
+        .collect();
+    assert!(!evicted.is_empty());
+    let live = cache.records();
+    drop(cache);
+    let reopened = PlanCache::open(&dir, 8, Obs::off());
+    assert_eq!(reopened.load_report().quarantined, 0);
+    for key in &evicted {
+        assert!(reopened.peek(key).is_none(), "evicted {key} came back");
+    }
+    assert_same_records(reopened.records(), live);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn torn_append_is_quarantined_and_the_next_append_lands_on_a_clean_file() {
+    let dir = cache_dir("journal-torn");
+    let k = keys(3);
+    let cache = PlanCache::open(&dir, 64, Obs::off());
+    for (i, key) in k.iter().enumerate() {
+        cache.insert(record(*key, i));
+    }
+    drop(cache);
+    let file = dir.join("plans.jsonl");
+    let text = fs::read_to_string(&file).unwrap();
+    // A crash mid-append: the last line loses its second half,
+    // newline included.
+    let keep = text.len() - text.lines().last().unwrap().len() / 2 - 1;
+    fs::write(&file, &text.as_bytes()[..keep]).unwrap();
+
+    let reopened = PlanCache::open(&dir, 64, Obs::off());
+    assert_eq!(reopened.load_report(), LoadReport { loaded: 2, quarantined: 1 });
+    // The open compacted: the header and two whole record lines.
+    let healed = fs::read_to_string(&file).unwrap();
+    assert!(healed.ends_with('\n'));
+    assert_eq!(healed.lines().count(), 3);
+    reopened.insert(record(k[2], 2));
+    let appended = fs::read_to_string(&file).unwrap();
+    assert!(appended.starts_with(&healed), "the insert appends to the clean file");
+    assert_eq!(appended.lines().count(), 4);
+    drop(reopened);
+
+    let third = PlanCache::open(&dir, 64, Obs::off());
+    assert_eq!(third.load_report(), LoadReport { loaded: 3, quarantined: 0 });
+    assert_same_records(
+        third.records(),
+        k.iter().enumerate().map(|(i, key)| record(*key, i)).collect(),
+    );
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn journal_stays_within_twice_the_live_set_and_generation_never_falls() {
+    let dir = cache_dir("journal-bound");
+    let cap = 16;
+    let k = keys(10 * cap);
+    let mut cache = PlanCache::open(&dir, cap, Obs::off());
+    let mut generation = cache.generation();
+    for (i, key) in k.iter().enumerate() {
+        let evictions = cache.stats().evictions;
+        cache.insert(record(*key, i));
+        // One write: the record line plus a tombstone per eviction.
+        let write = 1 + (cache.stats().evictions - evictions) as usize;
+        let lines = journal_lines(&dir).len();
+        assert!(
+            lines <= 2 * cache.len() + write,
+            "insert {i}: {lines} lines for {} live records",
+            cache.len()
+        );
+        assert!(cache.generation() > generation, "insert {i}: generation did not rise");
+        generation = cache.generation();
+        if i % cap == cap - 1 {
+            drop(cache);
+            cache = PlanCache::open(&dir, cap, Obs::off());
+            assert!(cache.generation() >= generation, "reopen after insert {i}: generation fell");
+            generation = cache.generation();
+        }
+    }
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn concurrent_writers_leave_a_journal_that_replays_to_the_live_cache() {
+    let dir = cache_dir("journal-threads");
+    let k = keys(48);
+    // Two slots per shard, so every thread's inserts evict the others'.
+    let cache = Arc::new(PlanCache::open(&dir, 16, Obs::off()));
+    let start = std::sync::Barrier::new(4);
+    std::thread::scope(|s| {
+        for t in 0..4 {
+            let (cache, k, start) = (Arc::clone(&cache), &k, &start);
+            s.spawn(move || {
+                start.wait();
+                // The threads share the keys, so one thread's insert
+                // races another's eviction of the same key.
+                for i in 0..400 {
+                    let key = k[(7 * i + 13 * t) % k.len()];
+                    cache.insert(record(key, 1000 * t + i));
+                    let _ = cache.lookup(&k[(5 * i + t) % k.len()]);
+                    if i % 2 == 1 {
+                        cache.evict(&k[(11 * i + 3 * t) % k.len()]);
+                    }
+                }
+            });
+        }
+    });
+    let live = cache.records();
+    assert!(!live.is_empty());
+    drop(cache);
+    let reopened = PlanCache::open(&dir, 16, Obs::off());
+    assert_eq!(reopened.load_report().quarantined, 0);
+    assert_same_records(reopened.records(), live);
+    let _ = fs::remove_dir_all(&dir);
 }

@@ -85,8 +85,9 @@
 //!
 //! The anytime legs measure what the budget machinery costs when armed
 //! but never tripped (`anytime_overhead_pct`, acceptance target < 2%
-//! against the steady-state leg) and the time-to-first-feasible-plan
-//! across a node-budget sweep.
+//! against the steady-state leg, both legs on one thread and timed
+//! alternately) and the time-to-first-feasible-plan across a
+//! node-budget sweep.
 
 use accpar_bench::json::Json;
 use accpar_core::{
@@ -329,27 +330,43 @@ fn main() -> ExitCode {
     // Anytime planning: an armed-but-never-tripped budget must be
     // invisible — same bits, and within 2% of the unbudgeted wall time
     // on the steady-state VGG-16 leg (budget charges are per DP layer
-    // row, and deadline clock reads are strided).
+    // row, and deadline clock reads are strided). A limited budget
+    // recurses into sibling subtrees serially, so both legs plan on one
+    // thread: the ratio then compares one code path with and without
+    // the budget armed.
     let anytime_cache = Arc::new(SearchCache::new());
     let anytime_planner = Planner::builder(&vgg, &hetero)
-        .threads(threads)
-        .cache(Arc::clone(&anytime_cache)).build().unwrap();
+        .threads(1)
+        .cache(Arc::clone(&anytime_cache))
+        .build()
+        .unwrap();
+    let armed_planner = Planner::builder(&vgg, &hetero)
+        .threads(1)
+        .cache(Arc::clone(&anytime_cache))
+        .budget(
+            Budget::unlimited()
+                .deadline(Duration::from_secs(3600))
+                .max_nodes(u64::MAX / 2),
+        )
+        .build()
+        .unwrap();
     let unbudgeted_plan = anytime_planner.plan(Strategy::AccPar).expect("steady plan");
-    let unbudgeted_ms =
-        time_best_ms(reps, || anytime_planner.plan(Strategy::AccPar).expect("steady plan"));
-    let armed = || {
-        Budget::unlimited()
-            .deadline(Duration::from_secs(3600))
-            .max_nodes(u64::MAX / 2)
-    };
-    let armed_outcome = anytime_planner
-        .plan_with_budget(Strategy::AccPar, &armed())
+    let armed_outcome = armed_planner
+        .plan_outcome(Strategy::AccPar)
         .expect("armed plan");
-    let armed_ms = time_best_ms(reps, || {
-        anytime_planner
-            .plan_with_budget(Strategy::AccPar, &armed())
-            .expect("armed plan")
-    });
+    // The legs alternate run by run, so drift in machine load reaches
+    // both alike.
+    let (mut unbudgeted_ms, mut armed_ms) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..reps {
+        unbudgeted_ms = unbudgeted_ms.min(time_best_ms(1, || {
+            anytime_planner.plan(Strategy::AccPar).expect("steady plan")
+        }));
+        armed_ms = armed_ms.min(time_best_ms(1, || {
+            armed_planner
+                .plan_outcome(Strategy::AccPar)
+                .expect("armed plan")
+        }));
+    }
     let armed_identical = armed_outcome.is_complete()
         && armed_outcome.planned().plan() == unbudgeted_plan.plan()
         && armed_outcome.planned().modeled_cost().to_bits() == unbudgeted_plan.modeled_cost().to_bits();
@@ -357,13 +374,13 @@ fn main() -> ExitCode {
     entries.push(Entry {
         name: "anytime/vgg16_steady_unbudgeted".into(),
         wall_ms: unbudgeted_ms,
-        threads,
+        threads: 1,
         cache_hit_rate: anytime_cache.stats().hit_rate(),
     });
     entries.push(Entry {
         name: "anytime/vgg16_steady_armed".into(),
         wall_ms: armed_ms,
-        threads,
+        threads: 1,
         cache_hit_rate: anytime_cache.stats().hit_rate(),
     });
     println!(
@@ -381,13 +398,15 @@ fn main() -> ExitCode {
         ("4x", 4 * vgg_rows),
         ("max", u64::MAX / 2),
     ] {
-        let sweep_planner = Planner::builder(&vgg, &hetero)
-            .threads(threads)
-            .caching(false).build().unwrap();
         let mut completeness = 0.0;
         let ttfp_ms = time_best_ms(reps, || {
-            let outcome = sweep_planner
-                .plan_with_budget(Strategy::AccPar, &Budget::unlimited().max_nodes(nodes))
+            let outcome = Planner::builder(&vgg, &hetero)
+                .threads(threads)
+                .caching(false)
+                .budget(Budget::unlimited().max_nodes(nodes))
+                .build()
+                .unwrap()
+                .plan_outcome(Strategy::AccPar)
                 .expect("anytime plan");
             completeness = outcome.completeness();
             outcome
@@ -502,7 +521,7 @@ fn main() -> ExitCode {
             .expect("cold plan")
     });
     let (first, first_outcome) = cached_planner
-        .plan_with_budget_cached(Strategy::AccPar, &Budget::unlimited())
+        .plan_cached(Strategy::AccPar)
         .expect("cache fill");
     assert_eq!(first_outcome, CacheOutcome::Miss, "fresh cache must miss");
     let cache_truth = first.into_planned();
@@ -510,7 +529,7 @@ fn main() -> ExitCode {
     let mut hit_identical = true;
     let hit_ms = time_best_ms(hit_reps, || {
         let (outcome, provenance) = cached_planner
-            .plan_with_budget_cached(Strategy::AccPar, &Budget::unlimited())
+            .plan_cached(Strategy::AccPar)
             .expect("served hit");
         let planned = outcome.into_planned();
         hit_identical &= provenance == CacheOutcome::Hit
@@ -593,7 +612,7 @@ fn main() -> ExitCode {
         // would otherwise dilute the collapse into the noise.
         let deep_view = net.train_view().expect("train view");
         let search_deep = |collapse: bool| {
-            accpar_core::hierarchy::plan_node_with(
+            accpar_core::hierarchy::plan_node_budgeted(
                 &deep_view,
                 iso_tree.root(),
                 &iso_model,
@@ -601,8 +620,12 @@ fn main() -> ExitCode {
                 None,
                 Pool::new(threads),
                 None,
+                &Obs::off(),
+                None,
+                &Budget::unlimited(),
             )
             .expect("deep stack search")
+            .0
             .expect("the bisected tree has levels")
         };
         iso_identical &= search_deep(true) == search_deep(false);
@@ -822,9 +845,10 @@ fn main() -> ExitCode {
         let outcome = Planner::builder(&vgg, &hetero)
             .threads(threads)
             .obs(obs.clone())
+            .budget(Budget::unlimited().max_nodes(vgg_rows))
             .build()
             .expect("vgg16 configures cleanly")
-            .plan_with_budget(Strategy::AccPar, &Budget::unlimited().max_nodes(vgg_rows))
+            .plan_outcome(Strategy::AccPar)
             .expect("anytime plan");
         obs.emit_metrics();
         subscriber.flush();
@@ -855,7 +879,7 @@ fn main() -> ExitCode {
             .expect("vgg16 configures cleanly");
         for expected in [CacheOutcome::Miss, CacheOutcome::Hit] {
             let (_, outcome) = traced_planner
-                .plan_with_budget_cached(Strategy::AccPar, &Budget::unlimited())
+                .plan_cached(Strategy::AccPar)
                 .expect("traced cached plan");
             assert_eq!(outcome, expected, "traced run must miss then hit");
         }

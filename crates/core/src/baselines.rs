@@ -9,12 +9,14 @@
 //!   equal partitioning and total communication volume as the objective.
 
 use crate::error::PlanError;
-use crate::hierarchy::plan_node;
+use crate::hierarchy::plan_node_budgeted;
 use crate::search::SearchConfig;
 use accpar_cost::{CostConfig, CostModel};
 use accpar_dnn::{TrainView, WeightedKind};
 use accpar_hw::GroupTree;
+use accpar_obs::Obs;
 use accpar_partition::{LayerPlan, NetworkPlan, PartitionType, PlanTree, Ratio};
+use accpar_runtime::{Budget, Pool};
 
 /// The data-parallelism baseline: Type-I everywhere, equal shares,
 /// replicated model.
@@ -88,8 +90,19 @@ pub fn hypar_plan(view: &TrainView, tree: &GroupTree) -> Result<PlanTree, PlanEr
 pub fn hypar_multipath_plan(view: &TrainView, tree: &GroupTree) -> Result<PlanTree, PlanError> {
     let model = CostModel::new(CostConfig::hypar());
     let config = SearchConfig::hypar();
-    Ok(plan_node(view, tree.root(), &model, &config, None)?
-        .expect("a bisected tree has at least one level"))
+    let (plan, _) = plan_node_budgeted(
+        view,
+        tree.root(),
+        &model,
+        &config,
+        None,
+        Pool::serial(),
+        None,
+        &Obs::off(),
+        None,
+        &Budget::unlimited(),
+    )?;
+    Ok(plan.expect("a bisected tree has at least one level"))
 }
 
 #[cfg(test)]

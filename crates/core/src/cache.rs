@@ -31,8 +31,8 @@
 //!   the old journal or the new one, never a torn one.
 //! * **Self-healing** — warm load replays the journal in order (a later
 //!   record replaces an earlier one; a tombstone removes its key),
-//!   verifying each line's checksum and shape; corrupt or truncated
-//!   lines are quarantined into a `.quarantine` sidecar (for
+//!   verifying each line's checksum and shape; corrupt, truncated or
+//!   non-UTF-8 lines are quarantined into a `.quarantine` sidecar (for
 //!   postmortems) instead of failing startup, and the open compacts
 //!   them away before the next append.
 //! * **Degraded modes** — any persistence I/O error flips the cache to
@@ -864,7 +864,7 @@ impl PlanCache {
         }
     }
 
-    fn quarantine_line(&self, sidecar: &Path, line: &str, reason: &str) {
+    fn quarantine_line(&self, sidecar: &Path, line: &[u8], reason: &str) {
         self.quarantined.fetch_add(1, Ordering::Relaxed);
         if self.obs.enabled() {
             self.obs.counter("cache.quarantine").inc();
@@ -882,7 +882,7 @@ impl PlanCache {
             .create(true)
             .append(true)
             .open(sidecar)
-            .and_then(|mut f| writeln!(f, "{line}"));
+            .and_then(|mut f| f.write_all(&[line, b"\n"].concat()));
     }
 
     /// Replays the journal into memory, then either reopens it for
@@ -894,22 +894,29 @@ impl PlanCache {
         };
         let sidecar = file.with_extension("jsonl.quarantine");
         let mut journal = lock_unpoisoned(&self.journal);
-        let text = match fs::read_to_string(file) {
-            Ok(text) => text,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => String::new(),
+        // Bytes, not text: one flipped high bit must cost one line, not
+        // the whole journal.
+        let bytes = match fs::read(file) {
+            Ok(bytes) => bytes,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
             Err(e) => {
                 self.degrade("read cache file", &e);
                 return LoadReport::default();
             }
         };
         let mut quarantined = 0usize;
-        let mut lines = text.split_inclusive('\n');
-        let clean = match lines.next().map(|h| h.strip_suffix('\n').and_then(header_generation)) {
+        let mut lines = bytes.split_inclusive(|&b| b == b'\n');
+        let header = lines.next().map(|h| {
+            h.strip_suffix(b"\n")
+                .and_then(|h| std::str::from_utf8(h).ok())
+                .and_then(header_generation)
+        });
+        let clean = match header {
             None => false,
             Some(Some(generation)) => {
                 for raw in lines {
                     journal.lines += 1;
-                    let Some(line) = raw.strip_suffix('\n') else {
+                    let Some(line) = raw.strip_suffix(b"\n") else {
                         // Truncated tail: the crash interrupted this
                         // append mid-line.
                         self.quarantine_line(&sidecar, raw, "truncated-tail");
@@ -919,6 +926,11 @@ impl PlanCache {
                     if line.is_empty() {
                         continue;
                     }
+                    let Ok(line) = std::str::from_utf8(line) else {
+                        self.quarantine_line(&sidecar, line, "invalid-utf8");
+                        quarantined += 1;
+                        continue;
+                    };
                     match decode_line(line) {
                         Some(JournalLine::Record(record)) => {
                             let tick = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
@@ -935,7 +947,7 @@ impl PlanCache {
                             lock_unpoisoned(self.shard(&key)).map.remove(&key);
                         }
                         None => {
-                            self.quarantine_line(&sidecar, line, "checksum-or-schema");
+                            self.quarantine_line(&sidecar, line.as_bytes(), "checksum-or-schema");
                             quarantined += 1;
                         }
                     }
@@ -947,7 +959,8 @@ impl PlanCache {
             Some(None) => {
                 // The header itself is unreadable: nothing below it
                 // can be trusted — quarantine the whole file.
-                self.quarantine_line(&sidecar, text.trim_end_matches('\n'), "bad-header");
+                let end = bytes.iter().rposition(|&b| b != b'\n').map_or(0, |i| i + 1);
+                self.quarantine_line(&sidecar, &bytes[..end], "bad-header");
                 quarantined += 1;
                 false
             }
@@ -1252,6 +1265,42 @@ mod tests {
         assert_eq!(reloaded.load_report(), LoadReport { loaded: 2, quarantined: 0 });
         assert_eq!(reloaded.peek(&record(1, 0.25).key).unwrap(), record(1, 0.25));
         assert!(reloaded.generation() >= 2);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_non_utf8_line_is_quarantined_alone() {
+        let dir = std::env::temp_dir().join(format!("accpar-cache-utf8-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let cache = PlanCache::open(&dir, 16, Obs::off());
+        cache.insert(record(1, 0.25));
+        cache.insert(record(2, 0.5));
+        drop(cache);
+        let file = dir.join("plans.jsonl");
+        let mut bytes = fs::read(&file).unwrap();
+        // Set the high bit of the first record line's first byte.
+        let start = bytes.iter().position(|&b| b == b'\n').unwrap() + 1;
+        let end = start + bytes[start..].iter().position(|&b| b == b'\n').unwrap();
+        bytes[start] |= 0x80;
+        let damaged = bytes[start..=end].to_vec();
+        fs::write(&file, &bytes).unwrap();
+
+        let collector = std::sync::Arc::new(accpar_obs::Collector::new());
+        let reopened = PlanCache::open(&dir, 16, Obs::new(std::sync::Arc::clone(&collector)));
+        assert_eq!(reopened.load_report(), LoadReport { loaded: 1, quarantined: 1 });
+        assert!(reopened.persistent());
+        assert_eq!(reopened.stats().io_errors, 0);
+        assert!(reopened.peek(&record(2, 0.5).key).is_some());
+        let reasons: Vec<String> = collector
+            .events_named("cache.quarantine")
+            .iter()
+            .flat_map(|e| e.fields.iter().filter(|(k, _)| *k == "reason"))
+            .map(|(_, v)| v.to_string())
+            .collect();
+        assert_eq!(reasons, ["invalid-utf8"]);
+        // The sidecar keeps the raw bytes; the open compacted them away.
+        assert_eq!(fs::read(dir.join("plans.jsonl.quarantine")).unwrap(), damaged);
+        assert!(std::str::from_utf8(&fs::read(&file).unwrap()).is_ok());
         let _ = fs::remove_dir_all(&dir);
     }
 

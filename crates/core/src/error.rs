@@ -30,9 +30,10 @@ pub enum PlanError {
     /// scales or plan entries, or a plan type outside the configured
     /// space.
     Mismatch(String),
-    /// A planner was configured with invalid knobs (zero thread budget,
+    /// A request was configured with invalid knobs (zero thread budget,
     /// zero hierarchy depth); reported by
-    /// [`PlannerBuilder::build`](crate::PlannerBuilder::build).
+    /// [`PlanRequest::build`](crate::PlanRequest::build), and by the
+    /// `validate` methods of the serving and supervisor configurations.
     Config(String),
     /// A [`Budget`](accpar_runtime::Budget) stopped the search before
     /// any plan could be assembled. The planner converts this into a

@@ -57,10 +57,10 @@ impl AnytimeReport {
     }
 }
 
-/// Shared mutable progress state for one budgeted walk: sibling levels
-/// may run in parallel, so the counters are atomics. The stop reason is
-/// first-writer-wins and, once set, makes every remaining level fall
-/// back without touching the budget again.
+/// Shared mutable progress state for one walk: unbudgeted sibling
+/// levels run in parallel, so the counters are atomics. The stop reason
+/// is set once and, once set, makes every remaining level fall back
+/// without touching the budget again.
 #[derive(Debug, Default)]
 struct Progress {
     solved: AtomicUsize,
@@ -98,87 +98,22 @@ impl Progress {
     }
 }
 
-/// Recursively plans every bisection level below `node`.
+/// Recursively plans every bisection level below `node` under a
+/// cooperative [`Budget`] — the one entry point of the hierarchical
+/// search.
 ///
-/// Returns `None` when `node` is a leaf (nothing to bisect). The
+/// Returns no tree when `node` is a leaf (nothing to bisect). The
 /// `scales` argument carries the per-layer shard scales accumulated from
-/// the ancestors; pass `None` at the root.
-///
-/// # Errors
-///
-/// Propagates [`PlanError::EmptySearchSpace`] from the level searcher.
-pub fn plan_node(
-    view: &TrainView,
-    node: &GroupNode,
-    model: &CostModel,
-    config: &SearchConfig,
-    scales: Option<&[ShardScales]>,
-) -> Result<Option<PlanTree>, PlanError> {
-    plan_node_with(view, node, model, config, scales, Pool::serial(), None)
-}
-
-/// Like [`plan_node`], with a thread budget for the independent
-/// left/right child recursions (split between them) and an optional
-/// shared [`SearchCache`] memoizing cost cells, block transfer tables
-/// and whole level outcomes across the tree.
-///
-/// With a serial pool and no cache this is exactly [`plan_node`]; with
-/// either enabled the resulting [`PlanTree`] is bit-identical — the
-/// cache keys canonicalize every `f64` input and the recursion order
-/// does not influence any level's search.
-///
-/// # Errors
-///
-/// Propagates [`PlanError::EmptySearchSpace`] from the level searcher.
-pub fn plan_node_with(
-    view: &TrainView,
-    node: &GroupNode,
-    model: &CostModel,
-    config: &SearchConfig,
-    scales: Option<&[ShardScales]>,
-    pool: Pool,
-    cache: Option<&SearchCache>,
-) -> Result<Option<PlanTree>, PlanError> {
-    plan_node_traced(view, node, model, config, scales, pool, cache, &Obs::off(), None)
-}
-
-/// Like [`plan_node_with`], emitting one `plan.level` span per
-/// bisection level (nested under `parent`) and feeding the
-/// `planner.level_search_ns` histogram on every level that actually
-/// searches. With a disabled [`Obs`] this is exactly
-/// [`plan_node_with`]: instrumentation never influences the plan.
-///
-/// # Errors
-///
-/// Propagates [`PlanError::EmptySearchSpace`] from the level searcher.
-#[allow(clippy::too_many_arguments)]
-pub fn plan_node_traced(
-    view: &TrainView,
-    node: &GroupNode,
-    model: &CostModel,
-    config: &SearchConfig,
-    scales: Option<&[ShardScales]>,
-    pool: Pool,
-    cache: Option<&SearchCache>,
-    obs: &Obs,
-    parent: Option<u64>,
-) -> Result<Option<PlanTree>, PlanError> {
-    plan_node_budgeted(
-        view,
-        node,
-        model,
-        config,
-        scales,
-        pool,
-        cache,
-        obs,
-        parent,
-        &Budget::unlimited(),
-    )
-    .map(|(tree, _)| tree)
-}
-
-/// Like [`plan_node_traced`], under a cooperative [`Budget`].
+/// the ancestors; pass `None` at the root. `pool` is the thread budget
+/// for the layer rows of each level and for the two independent child
+/// recursions (split between them). `cache` optionally memoizes cost
+/// cells, block transfer tables and whole level outcomes across the
+/// tree; with or without it, and at any thread budget, the resulting
+/// [`PlanTree`] is bit-identical — the cache keys canonicalize every
+/// `f64` input and the recursion order does not influence any level's
+/// search. Each level emits one `plan.level` span nested under `parent`
+/// and feeds the `planner.level_search_ns` histogram when it searches;
+/// instrumentation never influences the plan.
 ///
 /// Every level charges one budget node per layer row (memo hits charge
 /// the same amount, so budget semantics are cache-independent). When
@@ -188,11 +123,11 @@ pub fn plan_node_traced(
 /// returned [`AnytimeReport`] says how many levels kept their
 /// DP-optimal assignment and why the walk stopped.
 ///
-/// Under a serial pool the solved set is deterministic: levels are
-/// visited in pre-order, so a given budget always solves the same
-/// prefix. Under a parallel pool sibling subtrees race for the shared
-/// budget; the result is always feasible but which levels solved may
-/// vary run to run.
+/// A limited budget visits the levels serially in pre-order, whatever
+/// the pool, so a given budget always solves the same prefix and the
+/// outcome does not depend on the thread count. Only an unlimited
+/// budget, which can never stop a level, recurses into siblings in
+/// parallel.
 ///
 /// # Errors
 ///
@@ -415,7 +350,9 @@ fn plan_rec(
         .collect();
 
     let child_parent = span.id();
-    let (left, right) = if pool.is_serial() {
+    // Siblings share the budget, so a limited one recurses serially in
+    // pre-order: which levels it solves must not depend on scheduling.
+    let (left, right) = if pool.is_serial() || !ctx.budget.is_unlimited() {
         (
             plan_rec(ctx, child_a, &scales_a, pool, child_parent, depth + 1)?,
             plan_rec(ctx, child_b, &scales_b, pool, child_parent, depth + 1)?,
@@ -445,6 +382,25 @@ mod tests {
     use accpar_hw::{AcceleratorArray, GroupTree};
     use accpar_tensor::FeatureShape;
 
+    fn plan(view: &TrainView, node: &GroupNode) -> Option<PlanTree> {
+        let model = CostModel::new(CostConfig::default());
+        let (tree, report) = plan_node_budgeted(
+            view,
+            node,
+            &model,
+            &SearchConfig::accpar(),
+            None,
+            Pool::serial(),
+            None,
+            &Obs::off(),
+            None,
+            &Budget::unlimited(),
+        )
+        .unwrap();
+        assert!(report.is_complete());
+        tree
+    }
+
     fn view() -> TrainView {
         NetworkBuilder::new("t", FeatureShape::fc(128, 512))
             .linear("fc1", 512, 1024)
@@ -459,11 +415,7 @@ mod tests {
     fn plan_tree_matches_group_tree_depth() {
         let view = view();
         let tree = GroupTree::bisect(&AcceleratorArray::heterogeneous_tpu(4, 4), 3).unwrap();
-        let model = CostModel::new(CostConfig::default());
-        let config = SearchConfig::accpar();
-        let plan = plan_node(&view, tree.root(), &model, &config, None)
-            .unwrap()
-            .unwrap();
+        let plan = plan(&view, tree.root()).unwrap();
         assert_eq!(plan.depth(), 3);
         assert_eq!(plan.plan().len(), 2);
     }
@@ -472,12 +424,8 @@ mod tests {
     fn leaf_node_yields_no_plan() {
         let view = view();
         let tree = GroupTree::bisect(&AcceleratorArray::homogeneous_tpu_v3(2), 1).unwrap();
-        let model = CostModel::new(CostConfig::default());
-        let config = SearchConfig::accpar();
         let (leaf, _) = tree.root().children().unwrap();
-        assert!(plan_node(&view, leaf, &model, &config, None)
-            .unwrap()
-            .is_none());
+        assert!(plan(&view, leaf).is_none());
     }
 
     #[test]
@@ -486,11 +434,7 @@ mod tests {
         // produce independent children structures.
         let view = view();
         let tree = GroupTree::bisect(&AcceleratorArray::heterogeneous_tpu(2, 2), 2).unwrap();
-        let model = CostModel::new(CostConfig::default());
-        let config = SearchConfig::accpar();
-        let plan = plan_node(&view, tree.root(), &model, &config, None)
-            .unwrap()
-            .unwrap();
+        let plan = plan(&view, tree.root()).unwrap();
         let (l, r) = plan.children().unwrap();
         assert_eq!(l.depth(), 1);
         assert_eq!(r.depth(), 1);

@@ -24,9 +24,11 @@
 //!   [`Supervisor`] owns the serving plan and walks a degradation
 //!   ladder (hold → never-worse replan → fallback → shed) over a
 //!   debounced stream of hardware health events.
-//! * [`Planner`] — the one-stop API tying a network, an array, a
-//!   strategy and the evaluation together. Under a
-//!   [`Budget`] it is an *anytime* planner:
+//! * [`PlanRequest`] and [`Planner`] — the one value that configures a
+//!   plan (network, array, knobs, budget, faults) and the validated
+//!   planner it builds, tying the search and the evaluation together;
+//!   [`plan_many`] serves batches of requests through the same path.
+//!   Under a [`Budget`] the planner is *anytime*:
 //!   when the budget expires mid-search it returns
 //!   [`PlanOutcome::Partial`] — solved levels keep their DP-optimal
 //!   assignments, the rest falls back to data parallelism — never worse
@@ -70,10 +72,10 @@ pub use cache::{CacheOutcome, LoadReport, PlanCache, PlanCacheStats, PlanKey, Pl
 pub use error::PlanError;
 pub use hierarchy::AnytimeReport;
 pub use memo::{CacheStats, SearchCache};
-pub use planner::{PartialPlan, PlanOutcome, PlannedNetwork, Planner, PlannerBuilder, Strategy};
+pub use planner::{PartialPlan, PlanOutcome, PlanRequest, PlannedNetwork, Planner, Strategy};
 pub use replan::{replan, FaultImpact, PlanDelta, ReplanConfig, ReplanOutcome};
 pub use search::{level_class_keys, LevelSearcher, SearchConfig, SearchOutcome};
-pub use serve::{plan_many, PlanRequest, ServeConfig};
+pub use serve::{plan_many, ServeConfig};
 pub use supervise::{Decision, SuperviseAction, SuperviseConfig, SuperviseReport, Supervisor};
 
 // Re-export the budget vocabulary so `accpar_core` users don't need a

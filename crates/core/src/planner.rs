@@ -3,17 +3,18 @@ use crate::cache::{self, CacheOutcome, PlanCache, PlanRecord};
 use crate::error::PlanError;
 use crate::hierarchy::{plan_node_budgeted, AnytimeReport};
 use crate::memo::{CacheStats, SearchCache};
+use crate::replan::{replan_with, ReplanConfig, ReplanOutcome};
 use crate::search::SearchConfig;
 use accpar_cost::{CostConfig, CostModel, RatioSolver};
 use accpar_dnn::{Network, TrainView};
-use accpar_hw::{AcceleratorArray, GroupTree};
+use accpar_hw::{AcceleratorArray, FaultModel, GroupTree};
 use accpar_obs::{Obs, Subscriber};
 use accpar_partition::PlanTree;
-use accpar_runtime::{Budget, CancelToken, Pool, StopReason};
+use accpar_runtime::{Budget, Pool, StopReason};
 use accpar_sim::{Optimizer, SimConfig, SimReport, Simulator};
 use std::fmt;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// The partitioning schemes compared in §6.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -83,17 +84,6 @@ impl PlannedNetwork {
     #[must_use]
     pub const fn report(&self) -> &SimReport {
         &self.report
-    }
-
-    /// In-crate constructor for plans that did not come out of
-    /// [`Planner::plan`] directly — validated cache hits and degraded
-    /// (replanned) serving results.
-    pub(crate) const fn from_parts(strategy: Strategy, plan: PlanTree, report: SimReport) -> Self {
-        Self {
-            strategy,
-            plan,
-            report,
-        }
     }
 }
 
@@ -222,62 +212,67 @@ impl PlanOutcome {
 }
 
 /// Default hierarchy depth: bisect down to single boards.
-fn default_levels(array: &AcceleratorArray) -> usize {
+pub(crate) fn default_levels(array: &AcceleratorArray) -> usize {
     let boards = array.len().max(1);
     (usize::BITS as usize - 1 - boards.leading_zeros() as usize).max(1)
 }
 
-/// Configures and validates a [`Planner`] — the single way to build
-/// one (see [`Planner::builder`]).
+/// One plan request: a network, an array and every knob of the plan —
+/// the single value that configures planning.
 ///
-/// Every knob has a sensible default; [`build`](PlannerBuilder::build)
-/// validates the whole configuration up front (thread budget, hierarchy
-/// depth, array bisectability, network analyzability) so planning
-/// itself cannot fail on configuration errors.
+/// [`build`](PlanRequest::build) validates the whole request up front
+/// (thread budget, hierarchy depth, array bisectability, network
+/// analyzability) and returns the [`Planner`] that answers it;
+/// [`plan_many`](crate::plan_many) builds one per request of a batch.
+/// Both answer through the same planning path, so a request gets the
+/// same plan either way.
+///
+/// Every knob has a default: AccPar, bisection to single boards, the
+/// default cost model and solver, the cost-model-aligned simulator, the
+/// environment thread budget, the search memo and isomorphism collapse
+/// on, no plan cache, inert observability, an unlimited budget and
+/// healthy hardware.
 ///
 /// # Example
 ///
 /// ```
-/// use accpar_core::{Planner, Strategy};
+/// use accpar_core::{Budget, Planner, Strategy};
 /// use accpar_dnn::zoo;
 /// use accpar_hw::AcceleratorArray;
 ///
 /// let network = zoo::lenet(128)?;
 /// let array = AcceleratorArray::heterogeneous_tpu(2, 2);
-/// let planned = Planner::builder(&network, &array)
+/// let outcome = Planner::builder(&network, &array)
 ///     .levels(2)
-///     .strategy(Strategy::Owt)
+///     .budget(Budget::unlimited().max_nodes(1_000))
 ///     .build()?
-///     .run()?;
-/// assert_eq!(planned.plan().depth(), 2);
+///     .plan_outcome(Strategy::AccPar)?;
+/// assert!(outcome.is_complete());
+/// assert_eq!(outcome.planned().plan().depth(), 2);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug, Clone)]
-pub struct PlannerBuilder<'a> {
-    network: &'a Network,
-    array: &'a AcceleratorArray,
-    strategy: Strategy,
-    levels: Option<usize>,
-    cost_config: CostConfig,
-    solver: RatioSolver,
-    sim_config: SimConfig,
-    threads: Option<usize>,
-    caching: bool,
-    iso: bool,
-    cache: Option<Arc<SearchCache>>,
-    plan_cache: Option<Arc<PlanCache>>,
-    memory_cap: Option<Optimizer>,
-    obs: Obs,
-    deadline: Option<Duration>,
-    max_nodes: Option<u64>,
-    cancel: Option<CancelToken>,
+pub struct PlanRequest<'a> {
+    pub(crate) network: &'a Network,
+    pub(crate) array: &'a AcceleratorArray,
+    pub(crate) strategy: Strategy,
+    pub(crate) levels: Option<usize>,
+    pub(crate) cost_config: CostConfig,
+    pub(crate) solver: RatioSolver,
+    pub(crate) sim_config: SimConfig,
+    pub(crate) threads: Option<usize>,
+    pub(crate) caching: bool,
+    pub(crate) iso: bool,
+    pub(crate) cache: Option<Arc<SearchCache>>,
+    pub(crate) plan_cache: Option<Arc<PlanCache>>,
+    pub(crate) obs: Obs,
+    pub(crate) budget: Budget,
+    pub(crate) faults: Option<&'a FaultModel>,
 }
 
-impl<'a> PlannerBuilder<'a> {
-    /// Starts a builder over a network and an array with default knobs:
-    /// AccPar strategy, bisection to single boards, default cost model
-    /// and solver, cost-model-aligned simulator, environment-derived
-    /// thread budget, caching on, no memory cap, inert observability.
+impl<'a> PlanRequest<'a> {
+    /// A request over a network and an array with default knobs (see
+    /// the type docs).
     #[must_use]
     pub fn new(network: &'a Network, array: &'a AcceleratorArray) -> Self {
         Self {
@@ -293,17 +288,15 @@ impl<'a> PlannerBuilder<'a> {
             iso: true,
             cache: None,
             plan_cache: None,
-            memory_cap: None,
             obs: Obs::off(),
-            deadline: None,
-            max_nodes: None,
-            cancel: None,
+            budget: Budget::unlimited(),
+            faults: None,
         }
     }
 
-    /// The strategy [`Planner::run`] executes (default:
-    /// [`Strategy::AccPar`]). [`Planner::plan`] can still plan any
-    /// strategy regardless of this choice.
+    /// The strategy [`plan_many`](crate::plan_many) plans for this
+    /// request (default: [`Strategy::AccPar`]). A [`Planner`] plans
+    /// whichever strategy each call names.
     #[must_use]
     pub fn strategy(mut self, strategy: Strategy) -> Self {
         self.strategy = strategy;
@@ -312,7 +305,7 @@ impl<'a> PlannerBuilder<'a> {
 
     /// Hierarchy depth (default: bisect down to single boards, i.e.
     /// `log2(#boards)`). Validated against the array at
-    /// [`build`](PlannerBuilder::build).
+    /// [`build`](PlanRequest::build).
     #[must_use]
     pub fn levels(mut self, levels: usize) -> Self {
         self.levels = Some(levels);
@@ -344,7 +337,8 @@ impl<'a> PlannerBuilder<'a> {
     /// Thread budget for planning (default: the `ACCPAR_THREADS`
     /// environment variable, falling back to the machine's available
     /// parallelism). Must be at least 1; plans are bit-identical at any
-    /// budget.
+    /// budget. [`plan_many`](crate::plan_many) plans each request on
+    /// one thread.
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads);
@@ -389,17 +383,11 @@ impl<'a> PlannerBuilder<'a> {
     /// served plan — a cold miss is bit-identical to the uncached
     /// planner, and a poisoned record is evicted and re-planned. See
     /// the [`cache`](crate::cache) module docs.
+    /// [`plan_many`](crate::plan_many) replaces it with the batch's
+    /// [`ServeConfig::cache`](crate::ServeConfig::cache).
     #[must_use]
     pub fn plan_cache(mut self, cache: Arc<PlanCache>) -> Self {
         self.plan_cache = Some(cache);
-        self
-    }
-
-    /// Makes [`Planner::run`] repair plans for memory feasibility under
-    /// the given optimizer (see [`Planner::plan_within_memory`]).
-    #[must_use]
-    pub fn memory_cap(mut self, optimizer: Optimizer) -> Self {
-        self.memory_cap = Some(optimizer);
         self
     }
 
@@ -407,6 +395,8 @@ impl<'a> PlannerBuilder<'a> {
     /// registry). The planner then emits `plan` / `plan.level` spans,
     /// per-layer `plan.decision` events, cache statistics, and replan
     /// metrics. Instrumentation never changes plans.
+    /// [`plan_many`](crate::plan_many) replaces it with the batch's
+    /// [`ServeConfig::obs`](crate::ServeConfig::obs).
     #[must_use]
     pub fn subscriber(mut self, subscriber: impl Subscriber + 'static) -> Self {
         self.obs = Obs::new(subscriber);
@@ -415,42 +405,42 @@ impl<'a> PlannerBuilder<'a> {
 
     /// Attaches a pre-built observability handle (lets several planners
     /// share one subscriber and metrics registry). [`Obs::off`] detaches.
+    /// [`plan_many`](crate::plan_many) replaces it with the batch's
+    /// [`ServeConfig::obs`](crate::ServeConfig::obs).
     #[must_use]
     pub fn obs(mut self, obs: Obs) -> Self {
         self.obs = obs;
         self
     }
 
-    /// Bounds every AccPar search by a wall-clock deadline, measured
-    /// from the start of each [`Planner::plan_outcome`] /
-    /// [`Planner::plan`] call (not from `build`). On expiry the planner
-    /// returns the best-so-far anytime plan as
-    /// [`PlanOutcome::Partial`].
+    /// Bounds every plan made with this request (default: unlimited) by
+    /// a wall-clock deadline, a cap on the DP layer rows expanded, an
+    /// external cancellation token, or any combination (see [`Budget`]).
+    /// Only the AccPar search charges it; when it stops the search, the
+    /// planner returns the best-so-far anytime plan as
+    /// [`PlanOutcome::Partial`]. A budget's deadline runs from its
+    /// construction and its clones share one node counter, so give each
+    /// plan that needs the full allowance a request with a fresh budget.
     #[must_use]
-    pub fn deadline(mut self, deadline: Duration) -> Self {
-        self.deadline = Some(deadline);
+    pub fn budget(mut self, budget: Budget) -> Self {
+        self.budget = budget;
         self
     }
 
-    /// Caps the number of budget nodes (DP layer rows) each AccPar
-    /// search may expand. A cap of 0 forces the pure data-parallel
-    /// fallback — useful to bound worst-case latency deterministically.
+    /// Declares the current hardware condition (default: healthy). A
+    /// faulted request is answered with a plan adapted to the degraded
+    /// array: the healthy plan (cache hit or fresh) seeds
+    /// [`Planner::replan`]'s never-worse delta machinery, and a cache
+    /// hit used this way is counted as a *demotion* — the stored plan
+    /// was computed for healthy hardware and is never served as-is.
     #[must_use]
-    pub fn max_nodes(mut self, cap: u64) -> Self {
-        self.max_nodes = Some(cap);
+    pub fn faults(mut self, faults: &'a FaultModel) -> Self {
+        self.faults = Some(faults);
         self
     }
 
-    /// Attaches an external cancellation token checked throughout the
-    /// search; cancel it from another thread to stop planning at the
-    /// next layer row.
-    #[must_use]
-    pub fn cancel(mut self, token: CancelToken) -> Self {
-        self.cancel = Some(token);
-        self
-    }
-
-    /// Validates the configuration and builds the [`Planner`].
+    /// Validates the request and builds its [`Planner`], deriving the
+    /// training view and the bisection that every plan it makes shares.
     ///
     /// # Errors
     ///
@@ -470,38 +460,24 @@ impl<'a> PlannerBuilder<'a> {
             ));
         }
         let levels = self.levels.unwrap_or_else(|| default_levels(self.array));
-        // Surface bisection and network-analysis errors now, not at
-        // plan time.
-        GroupTree::bisect(self.array, levels)?;
-        self.network.train_view()?;
+        let tree = GroupTree::bisect(self.array, levels)?;
+        let view = self.network.train_view()?;
+        let memo = self.cache.clone().unwrap_or_default();
         Ok(Planner {
-            network: self.network,
-            array: self.array,
-            strategy: self.strategy,
-            levels: self.levels,
-            cost_config: self.cost_config,
-            solver: self.solver,
-            sim_config: self.sim_config,
-            threads: self.threads,
-            caching: self.caching,
-            iso: self.iso,
-            cache: self.cache.unwrap_or_default(),
-            plan_cache: self.plan_cache,
-            memory_cap: self.memory_cap,
-            obs: self.obs,
-            deadline: self.deadline,
-            max_nodes: self.max_nodes,
-            cancel: self.cancel,
+            request: self,
+            memo,
+            view,
+            tree,
         })
     }
 }
 
-/// One-stop planning API: pairs a network with an accelerator array and
-/// produces hierarchical partition plans under any of the four schemes.
+/// One-stop planning API: a validated [`PlanRequest`] that plans its
+/// network on its array under any of the four schemes.
 ///
-/// Built via [`Planner::builder`], which validates the configuration up
-/// front. [`Planner::run`] executes the configured strategy;
-/// [`Planner::plan`] plans any strategy ad hoc.
+/// Built with [`Planner::builder`]. Every plan takes one path: consult
+/// the plan cache, search, evaluate, and — when the request carries
+/// faults — replan never-worse for the degraded array.
 ///
 /// # Example
 ///
@@ -519,239 +495,89 @@ impl<'a> PlannerBuilder<'a> {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Planner<'a> {
-    network: &'a Network,
-    array: &'a AcceleratorArray,
-    strategy: Strategy,
-    levels: Option<usize>,
-    cost_config: CostConfig,
-    solver: RatioSolver,
-    sim_config: SimConfig,
-    threads: Option<usize>,
-    caching: bool,
-    iso: bool,
-    memory_cap: Option<Optimizer>,
-    obs: Obs,
-    deadline: Option<Duration>,
-    max_nodes: Option<u64>,
-    cancel: Option<CancelToken>,
-    /// Shared across clones so replans reuse the planning run's memo.
-    cache: Arc<SearchCache>,
-    /// Whole-plan serving cache (see [`crate::cache`]); absent by
-    /// default.
-    plan_cache: Option<Arc<PlanCache>>,
+    request: PlanRequest<'a>,
+    /// The request's search memo; shared across clones so replans reuse
+    /// the planning run's memo.
+    memo: Arc<SearchCache>,
+    /// Derived once at build and shared by every plan.
+    view: TrainView,
+    tree: GroupTree,
 }
 
 impl<'a> Planner<'a> {
-    /// Starts building a planner over a network and an array — the
-    /// entry point of the planning API. See [`PlannerBuilder`].
+    /// Starts a [`PlanRequest`] over a network and an array with
+    /// default knobs — the entry point of the planning API.
     #[must_use]
-    pub fn builder(network: &'a Network, array: &'a AcceleratorArray) -> PlannerBuilder<'a> {
-        PlannerBuilder::new(network, array)
-    }
-
-    /// Creates a planner with default knobs.
-    #[deprecated(since = "0.2.0", note = "use `Planner::builder(network, array).build()`")]
-    #[must_use]
-    pub fn new(network: &'a Network, array: &'a AcceleratorArray) -> Self {
-        Self {
-            network,
-            array,
-            strategy: Strategy::AccPar,
-            levels: None,
-            cost_config: CostConfig::default(),
-            solver: RatioSolver::default(),
-            sim_config: SimConfig::cost_model_aligned(),
-            threads: None,
-            caching: true,
-            iso: true,
-            memory_cap: None,
-            obs: Obs::off(),
-            deadline: None,
-            max_nodes: None,
-            cancel: None,
-            cache: Arc::new(SearchCache::new()),
-            plan_cache: None,
-        }
-    }
-
-    /// Sets the hierarchy depth.
-    #[deprecated(since = "0.2.0", note = "use `PlannerBuilder::levels`")]
-    #[must_use]
-    pub fn with_levels(mut self, levels: usize) -> Self {
-        self.levels = Some(levels);
-        self
-    }
-
-    /// Overrides the cost-model configuration used by the AccPar search.
-    #[deprecated(since = "0.2.0", note = "use `PlannerBuilder::cost_config`")]
-    #[must_use]
-    pub fn with_cost_config(mut self, config: CostConfig) -> Self {
-        self.cost_config = config;
-        self
-    }
-
-    /// Overrides the ratio solver used by the AccPar search.
-    #[deprecated(since = "0.2.0", note = "use `PlannerBuilder::solver`")]
-    #[must_use]
-    pub fn with_solver(mut self, solver: RatioSolver) -> Self {
-        self.solver = solver;
-        self
-    }
-
-    /// Overrides the simulator configuration.
-    #[deprecated(since = "0.2.0", note = "use `PlannerBuilder::sim_config`")]
-    #[must_use]
-    pub fn with_sim_config(mut self, config: SimConfig) -> Self {
-        self.sim_config = config;
-        self
-    }
-
-    /// Sets the thread budget for planning.
-    #[deprecated(since = "0.2.0", note = "use `PlannerBuilder::threads`")]
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads);
-        self
-    }
-
-    /// Enables or disables the shared search memo.
-    #[deprecated(since = "0.2.0", note = "use `PlannerBuilder::caching`")]
-    #[must_use]
-    pub fn with_caching(mut self, caching: bool) -> Self {
-        self.caching = caching;
-        self
-    }
-
-    /// Shares a search memo with other planners.
-    #[deprecated(since = "0.2.0", note = "use `PlannerBuilder::cache`")]
-    #[must_use]
-    pub fn with_cache(mut self, cache: Arc<SearchCache>) -> Self {
-        self.cache = cache;
-        self
+    pub fn builder(network: &'a Network, array: &'a AcceleratorArray) -> PlanRequest<'a> {
+        PlanRequest::new(network, array)
     }
 
     /// The resolved thread budget.
     #[must_use]
     pub fn threads(&self) -> usize {
-        self.threads.unwrap_or_else(|| Pool::from_env().threads())
+        self.request
+            .threads
+            .unwrap_or_else(|| Pool::from_env().threads())
     }
 
     /// Counters of the shared search memo (all zeros while caching is
     /// disabled or before the first AccPar plan).
     #[must_use]
     pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
+        self.memo.stats()
     }
 
-    /// The observability handle the planner was built with (inert
-    /// unless [`PlannerBuilder::subscriber`] or [`PlannerBuilder::obs`]
-    /// attached one).
+    /// The observability handle of the request (inert unless
+    /// [`PlanRequest::subscriber`] or [`PlanRequest::obs`] attached
+    /// one).
     #[must_use]
     pub const fn obs(&self) -> &Obs {
-        &self.obs
+        &self.request.obs
     }
 
     /// The hierarchy depth that will be used.
     #[must_use]
-    pub fn levels(&self) -> usize {
-        self.levels.unwrap_or_else(|| default_levels(self.array))
-    }
-
-    /// Plans the network under the builder-configured strategy,
-    /// applying the memory cap when one was set via
-    /// [`PlannerBuilder::memory_cap`].
-    ///
-    /// # Errors
-    ///
-    /// See [`Planner::plan`] and [`Planner::plan_within_memory`].
-    pub fn run(&self) -> Result<PlannedNetwork, PlanError> {
-        match self.memory_cap {
-            Some(optimizer) => self.plan_within_memory(self.strategy, optimizer),
-            None => self.plan(self.strategy),
-        }
-    }
-
-    /// A fresh [`Budget`] from the builder's `deadline` / `max_nodes` /
-    /// `cancel` knobs. The deadline clock starts *now* — each plan call
-    /// gets the full allowance.
-    #[must_use]
-    pub fn fresh_budget(&self) -> Budget {
-        let mut budget = Budget::unlimited();
-        if let Some(deadline) = self.deadline {
-            budget = budget.deadline(deadline);
-        }
-        if let Some(cap) = self.max_nodes {
-            budget = budget.max_nodes(cap);
-        }
-        if let Some(token) = &self.cancel {
-            budget = budget.cancel_token(token);
-        }
-        budget
+    pub const fn levels(&self) -> usize {
+        self.tree.levels()
     }
 
     /// Plans the network under the given strategy and evaluates the plan
     /// with the simulator.
     ///
-    /// When the builder configured a budget (`deadline` / `max_nodes` /
-    /// `cancel`) and it expires mid-search, the anytime plan is
+    /// When the request's budget stops the search, the anytime plan is
     /// returned; use [`Planner::plan_outcome`] to observe whether that
     /// happened.
     ///
     /// # Errors
     ///
-    /// Propagates network-analysis, bisection and simulation errors.
+    /// Propagates search, replanning and simulation errors.
     pub fn plan(&self, strategy: Strategy) -> Result<PlannedNetwork, PlanError> {
         self.plan_outcome(strategy).map(PlanOutcome::into_planned)
     }
 
-    /// Plans under the builder-configured budget and reports whether
-    /// the result is complete or the best-so-far anytime plan.
+    /// Plans under the request's budget and reports whether the result
+    /// is complete or the best-so-far anytime plan.
     ///
     /// # Errors
     ///
     /// See [`Planner::plan`]. A budget stop is not an error.
     pub fn plan_outcome(&self, strategy: Strategy) -> Result<PlanOutcome, PlanError> {
-        self.plan_with_budget(strategy, &self.fresh_budget())
+        self.plan_cached(strategy).map(|(outcome, _)| outcome)
     }
 
-    /// Plans under an explicit [`Budget`] (overriding the builder
-    /// knobs). The budget bounds the AccPar search — the three baseline
-    /// strategies are closed-form (or search a space too small to
-    /// matter) and always complete.
+    /// [`Planner::plan_outcome`], additionally reporting how the
+    /// request's [`PlanCache`] took part ([`CacheOutcome::Disabled`]
+    /// when none is attached). On a faulted request a
+    /// [`CacheOutcome::Hit`] was demoted to the replanner's warm start.
     ///
     /// # Errors
     ///
     /// See [`Planner::plan`]. A budget stop is not an error.
-    pub fn plan_with_budget(
+    pub fn plan_cached(
         &self,
         strategy: Strategy,
-        budget: &Budget,
-    ) -> Result<PlanOutcome, PlanError> {
-        self.plan_with_budget_cached(strategy, budget)
-            .map(|(outcome, _)| outcome)
-    }
-
-    /// [`Planner::plan_with_budget`], additionally reporting how the
-    /// attached [`PlanCache`] participated ([`CacheOutcome::Disabled`]
-    /// when none is attached). The serving layer uses the provenance to
-    /// demote hits when the request targets degraded hardware.
-    ///
-    /// # Errors
-    ///
-    /// See [`Planner::plan`]. A budget stop is not an error.
-    pub fn plan_with_budget_cached(
-        &self,
-        strategy: Strategy,
-        budget: &Budget,
     ) -> Result<(PlanOutcome, CacheOutcome), PlanError> {
-        self.plan_budgeted_with_pool(strategy, Pool::new(self.threads()), budget)
-    }
-
-    /// [`Planner::plan`] with an explicit thread budget (used by
-    /// [`Planner::plan_all`] to divide the budget across strategies).
-    fn plan_with_pool(&self, strategy: Strategy, pool: Pool) -> Result<PlannedNetwork, PlanError> {
-        self.plan_budgeted_with_pool(strategy, pool, &Budget::unlimited())
-            .map(|(outcome, _)| outcome.into_planned())
+        self.plan_on(strategy, Pool::new(self.threads()))
     }
 
     /// Admission validation of a cached record before serving: shape /
@@ -770,23 +596,21 @@ impl<'a> Planner<'a> {
         &self,
         record: &PlanRecord,
         verified: Option<SimReport>,
-        view: &TrainView,
-        tree: &GroupTree,
         strategy: Strategy,
         levels: usize,
     ) -> Result<(SimReport, bool), CacheOutcome> {
         let shape_ok = record.strategy == strategy
             && record.levels == levels
             && record.plan.depth() == levels
-            && record.plan.plan().len() == view.weighted_len();
+            && record.plan.plan().len() == self.view.weighted_len();
         if !shape_ok {
             return Err(CacheOutcome::Invalid);
         }
         if let Some(report) = verified {
             return Ok((report, false));
         }
-        let report = Simulator::new(self.sim_config)
-            .simulate(view, &record.plan, tree, None)
+        let report = Simulator::new(self.request.sim_config)
+            .simulate(&self.view, &record.plan, &self.tree, None)
             .map_err(|_| CacheOutcome::Invalid)?;
         if (report.total_secs - record.cost).abs() > cache::POISON_TOLERANCE {
             return Err(CacheOutcome::Poisoned);
@@ -794,24 +618,68 @@ impl<'a> Planner<'a> {
         Ok((report, true))
     }
 
-    fn plan_budgeted_with_pool(
+    /// The one planning path: every public plan method and
+    /// [`plan_many`](crate::plan_many) end here. Plans for healthy
+    /// hardware, then, when the request carries faults, never serves
+    /// that plan as-is: a cache hit is demoted to a warm start and the
+    /// plan is replanned never-worse for the degraded array.
+    fn plan_on(
         &self,
         strategy: Strategy,
         pool: Pool,
-        budget: &Budget,
+    ) -> Result<(PlanOutcome, CacheOutcome), PlanError> {
+        let (outcome, provenance) = self.plan_healthy(strategy, pool)?;
+        let Some(faults) = self.request.faults else {
+            return Ok((outcome, provenance));
+        };
+        if provenance == CacheOutcome::Hit {
+            if let Some(cache) = &self.request.plan_cache {
+                cache.note_demotion();
+            }
+            self.request.obs.event(
+                "cache.demote",
+                &[
+                    ("strategy", strategy.to_string().into()),
+                    ("faults", faults.faults().len().into()),
+                ],
+            );
+        }
+        let replanned = self.replan_on(&self.tree, outcome.planned().plan(), faults, pool)?;
+        let report = Simulator::new(self.request.sim_config).simulate(
+            &self.view,
+            &replanned.plan,
+            &replanned.tree,
+            Some(&replanned.faults),
+        )?;
+        let planned = PlannedNetwork {
+            strategy,
+            plan: replanned.plan,
+            report,
+        };
+        Ok((PlanOutcome::Complete(planned), provenance))
+    }
+
+    /// The healthy-hardware half of [`Planner::plan_on`]: a validated
+    /// plan-cache hit, or a search (or baseline construction), its
+    /// evaluation and, when complete, its admission to the cache.
+    fn plan_healthy(
+        &self,
+        strategy: Strategy,
+        pool: Pool,
     ) -> Result<(PlanOutcome, CacheOutcome), PlanError> {
         let started = Instant::now();
-        let view = self.network.train_view()?;
+        let request = &self.request;
+        let view = &self.view;
+        let tree = &self.tree;
         let levels = self.levels();
-        let tree = GroupTree::bisect(self.array, levels)?;
-        let obs = &self.obs;
-        if self.caching {
-            self.cache.observe(obs);
+        let obs = &request.obs;
+        if request.caching {
+            self.memo.observe(obs);
         }
         let span = obs.span(
             "plan",
             &[
-                ("network", self.network.name().into()),
+                ("network", request.network.name().into()),
                 ("strategy", strategy.to_string().into()),
                 ("levels", levels.into()),
                 ("layers", view.weighted_len().into()),
@@ -823,16 +691,16 @@ impl<'a> Planner<'a> {
         // search; everything else falls through to the normal (cold,
         // bit-identical) path and admits the finished plan.
         let mut cache_outcome = CacheOutcome::Disabled;
-        let cache_key = self.plan_cache.as_ref().map(|plan_cache| {
+        let cache_key = request.plan_cache.as_ref().map(|plan_cache| {
             let key = cache::plan_key(
-                &view,
-                self.array,
+                view,
+                request.array,
                 strategy,
                 levels,
-                &self.cost_config,
-                &self.solver,
-                &self.sim_config,
-                budget,
+                &request.cost_config,
+                &request.solver,
+                &request.sim_config,
+                &request.budget,
             );
             (Arc::clone(plan_cache), key)
         });
@@ -847,7 +715,7 @@ impl<'a> Planner<'a> {
                         ("levels", levels.into()),
                     ],
                 );
-                match self.validate_record(&record, verified, &view, &tree, strategy, levels) {
+                match self.validate_record(&record, verified, strategy, levels) {
                     Ok((report, fresh_sim)) => {
                         vspan.event(
                             "cache.validate.outcome",
@@ -866,7 +734,11 @@ impl<'a> Planner<'a> {
                                 started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64,
                             );
                         }
-                        let planned = PlannedNetwork::from_parts(strategy, record.plan, report);
+                        let planned = PlannedNetwork {
+                            strategy,
+                            plan: record.plan,
+                            report,
+                        };
                         return Ok((PlanOutcome::Complete(planned), CacheOutcome::Hit));
                     }
                     Err(outcome) => {
@@ -889,15 +761,15 @@ impl<'a> Planner<'a> {
             stop: None,
         };
         let (plan, anytime) = match strategy {
-            Strategy::DataParallel => (data_parallel_plan(&view, levels), complete),
-            Strategy::Owt => (owt_plan(&view, levels), complete),
-            Strategy::HyPar => (hypar_plan(&view, &tree)?, complete),
+            Strategy::DataParallel => (data_parallel_plan(view, levels), complete),
+            Strategy::Owt => (owt_plan(view, levels), complete),
+            Strategy::HyPar => (hypar_plan(view, tree)?, complete),
             Strategy::AccPar => {
-                let model = CostModel::new(self.cost_config);
-                let mut config = SearchConfig::accpar_with(self.solver);
-                config.collapse = self.iso;
-                if self.iso && obs.enabled() {
-                    let iso = accpar_dnn::iso::IsoClasses::of(&view);
+                let model = CostModel::new(request.cost_config);
+                let mut config = SearchConfig::accpar_with(request.solver);
+                config.collapse = request.iso;
+                if request.iso && obs.enabled() {
+                    let iso = accpar_dnn::iso::IsoClasses::of(view);
                     let classes = iso.layer_classes();
                     obs.span_at(
                         "plan.iso",
@@ -911,18 +783,18 @@ impl<'a> Planner<'a> {
                     obs.counter("iso.classes").add(classes as u64);
                     obs.gauge("iso.collapse_ratio").set(iso.collapse_ratio());
                 }
-                let cache = self.caching.then(|| &*self.cache);
+                let memo = request.caching.then(|| &*self.memo);
                 let (plan, anytime) = plan_node_budgeted(
-                    &view,
+                    view,
                     tree.root(),
                     &model,
                     &config,
                     None,
                     pool,
-                    cache,
+                    memo,
                     obs,
                     span.id(),
-                    budget,
+                    &request.budget,
                 )?;
                 let plan = plan.ok_or_else(|| {
                     PlanError::Mismatch("the bisected tree has no levels to plan".into())
@@ -931,9 +803,9 @@ impl<'a> Planner<'a> {
             }
         };
 
-        let report = Simulator::new(self.sim_config)
+        let report = Simulator::new(request.sim_config)
             .with_obs(obs.clone())
-            .simulate(&view, &plan, &tree, None)?;
+            .simulate(view, &plan, tree, None)?;
         let planned = PlannedNetwork {
             strategy,
             plan,
@@ -949,10 +821,10 @@ impl<'a> Planner<'a> {
             let reason = anytime
                 .stop
                 .expect("a fallback level implies a stop reason");
-            let baseline_plan = data_parallel_plan(&view, levels);
-            let baseline_report = Simulator::new(self.sim_config)
+            let baseline_plan = data_parallel_plan(view, levels);
+            let baseline_report = Simulator::new(request.sim_config)
                 .with_obs(obs.clone())
-                .simulate(&view, &baseline_plan, &tree, None)?;
+                .simulate(view, &baseline_plan, tree, None)?;
             let baseline_adopted = baseline_report.total_secs < planned.report.total_secs;
             let planned = if baseline_adopted {
                 PlannedNetwork {
@@ -994,7 +866,7 @@ impl<'a> Planner<'a> {
             obs.counter("planner.plans").inc();
             obs.histogram("planner.ttfp_ns")
                 .record(started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64);
-            emit_decisions(obs, span.id(), &view, outcome.planned().plan());
+            emit_decisions(obs, span.id(), view, outcome.planned().plan());
             if let PlanOutcome::Partial(partial) = &outcome {
                 obs.counter("planner.partial_plans").inc();
                 match partial.reason() {
@@ -1014,8 +886,8 @@ impl<'a> Planner<'a> {
                     span.event("plan.cancelled", &fields);
                 }
             }
-            if self.caching {
-                let stats = self.cache.stats();
+            if request.caching {
+                let stats = self.memo.stats();
                 obs.gauge("planner.cache.hit_rate").set(stats.hit_rate());
                 obs.gauge("planner.cache.lookup_hit_rate")
                     .set(stats.lookup_hit_rate());
@@ -1041,10 +913,11 @@ impl<'a> Planner<'a> {
     /// Plans under `strategy`, then repairs the plan for memory
     /// feasibility under the given optimizer (flipping the heaviest
     /// replicated layers to Type-II until every leaf's footprint fits its
-    /// HBM) and re-evaluates it.
+    /// HBM) and re-evaluates it. The repair targets healthy hardware.
     ///
     /// # Errors
     ///
+    /// [`PlanError::Config`] when the request carries faults;
     /// [`PlanError::Infeasible`] when even a fully weight-sharded plan
     /// cannot fit; otherwise see [`Planner::plan`].
     pub fn plan_within_memory(
@@ -1052,19 +925,23 @@ impl<'a> Planner<'a> {
         strategy: Strategy,
         optimizer: Optimizer,
     ) -> Result<PlannedNetwork, PlanError> {
+        if self.request.faults.is_some() {
+            return Err(PlanError::Config(
+                "memory repair plans for healthy hardware; the request carries faults".into(),
+            ));
+        }
         let planned = self.plan(strategy)?;
-        let view = self.network.train_view()?;
-        let tree = GroupTree::bisect(self.array, self.levels())?;
+        let sim_config = self.request.sim_config;
         let (plan, _report) = crate::feasible::fit_to_memory(
-            &view,
+            &self.view,
             planned.plan(),
-            &tree,
-            &self.sim_config,
+            &self.tree,
+            &sim_config,
             optimizer,
         )?;
-        let report = Simulator::new(self.sim_config)
-            .with_obs(self.obs.clone())
-            .simulate(&view, &plan, &tree, None)?;
+        let report = Simulator::new(sim_config)
+            .with_obs(self.request.obs.clone())
+            .simulate(&self.view, &plan, &self.tree, None)?;
         Ok(PlannedNetwork {
             strategy,
             plan,
@@ -1082,28 +959,38 @@ impl<'a> Planner<'a> {
     pub fn replan(
         &self,
         planned: &PlannedNetwork,
-        faults: &accpar_hw::FaultModel,
-    ) -> Result<crate::replan::ReplanOutcome, PlanError> {
-        let view = self.network.train_view()?;
-        let tree = GroupTree::bisect(self.array, planned.plan().depth())?;
-        let config = crate::replan::ReplanConfig {
-            cost_config: self.cost_config,
-            solver: self.solver,
-            sim_config: self.sim_config,
+        faults: &FaultModel,
+    ) -> Result<ReplanOutcome, PlanError> {
+        let tree = GroupTree::bisect(self.request.array, planned.plan().depth())?;
+        self.replan_on(&tree, planned.plan(), faults, Pool::new(self.threads()))
+    }
+
+    fn replan_on(
+        &self,
+        tree: &GroupTree,
+        plan: &PlanTree,
+        faults: &FaultModel,
+        pool: Pool,
+    ) -> Result<ReplanOutcome, PlanError> {
+        let request = &self.request;
+        let config = ReplanConfig {
+            cost_config: request.cost_config,
+            solver: request.solver,
+            sim_config: request.sim_config,
             sensitivity: true,
-            threads: Some(self.threads()),
-            obs: self.obs.clone(),
-            iso: self.iso,
-            budget: accpar_runtime::Budget::unlimited(),
+            threads: Some(pool.threads()),
+            obs: request.obs.clone(),
+            iso: request.iso,
+            budget: Budget::unlimited(),
         };
-        crate::replan::replan_with(
-            &view,
-            self.array,
-            &tree,
-            planned.plan(),
+        replan_with(
+            &self.view,
+            request.array,
+            tree,
+            plan,
             faults,
             &config,
-            self.caching.then(|| &*self.cache),
+            request.caching.then(|| &*self.memo),
         )
     }
 
@@ -1116,28 +1003,23 @@ impl<'a> Planner<'a> {
     ///
     /// See [`Planner::plan`].
     pub fn plan_all(&self) -> Result<Vec<PlannedNetwork>, PlanError> {
+        let plan = |strategy, pool| {
+            self.plan_on(strategy, pool)
+                .map(|(outcome, _)| outcome.into_planned())
+        };
         let budget = self.threads();
         if budget <= 1 {
-            return Strategy::ALL.iter().map(|&s| self.plan_with_pool(s, Pool::serial())).collect();
+            return Strategy::ALL
+                .iter()
+                .map(|&s| plan(s, Pool::serial()))
+                .collect();
         }
         let workers = budget.min(Strategy::ALL.len());
         let inner = Pool::new(budget / workers);
         Pool::new(workers)
-            .par_map(&Strategy::ALL, |_, &s| self.plan_with_pool(s, inner))
+            .par_map(&Strategy::ALL, |_, &s| plan(s, inner))
             .into_iter()
             .collect()
-    }
-
-    /// Plans a batch of independent requests with per-request panic
-    /// isolation, overload shedding and a stall watchdog. Convenience
-    /// alias for [`crate::serve::plan_many`]; see the
-    /// [`serve`](crate::serve) module docs for the contract.
-    #[must_use]
-    pub fn plan_many(
-        requests: &[crate::serve::PlanRequest<'_>],
-        config: &crate::serve::ServeConfig,
-    ) -> Vec<Result<PlanOutcome, PlanError>> {
-        crate::serve::plan_many(requests, config)
     }
 }
 
@@ -1282,39 +1164,23 @@ mod tests {
     }
 
     #[test]
-    fn run_executes_the_configured_strategy() {
+    fn plans_the_named_strategy_with_and_without_memory_repair() {
         let net = zoo::lenet(64).unwrap();
         let array = AcceleratorArray::heterogeneous_tpu(2, 2);
-        let planned = Planner::builder(&net, &array)
-            .strategy(Strategy::Owt)
-            .levels(2)
-            .build()
-            .unwrap()
-            .run()
-            .unwrap();
+        let planner = Planner::builder(&net, &array).levels(2).build().unwrap();
+        let planned = planner.plan(Strategy::Owt).unwrap();
         assert_eq!(planned.strategy(), Strategy::Owt);
-        let capped = Planner::builder(&net, &array)
-            .strategy(Strategy::AccPar)
-            .levels(2)
-            .memory_cap(Optimizer::Sgd)
-            .build()
-            .unwrap()
-            .run()
+        let capped = planner
+            .plan_within_memory(Strategy::AccPar, Optimizer::Sgd)
             .unwrap();
         assert_eq!(capped.strategy(), Strategy::AccPar);
         assert!(capped.modeled_cost() > 0.0);
-    }
-
-    #[test]
-    fn deprecated_constructor_still_plans() {
-        #![allow(deprecated)]
-        let net = zoo::lenet(64).unwrap();
-        let array = AcceleratorArray::homogeneous_tpu_v3(2);
-        #[allow(deprecated)]
-        let planned = Planner::new(&net, &array)
-            .plan(Strategy::DataParallel)
-            .unwrap();
-        assert_eq!(planned.strategy(), Strategy::DataParallel);
+        let faults = FaultModel::new().slow_leaf(0, 0.5).unwrap();
+        let faulted = Planner::builder(&net, &array).levels(2).faults(&faults);
+        assert!(matches!(
+            faulted.build().unwrap().plan_within_memory(Strategy::AccPar, Optimizer::Sgd),
+            Err(PlanError::Config(_))
+        ));
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! Given a plan produced for the healthy array and a
 //! [`FaultModel`], [`replan`](fn@replan) folds the rate
 //! faults into a degraded [`GroupTree`], re-runs AccPar's dynamic
-//! program (the same [`plan_node`](crate::hierarchy::plan_node)
-//! machinery the healthy planner uses) against the degraded
+//! program (the same [`plan_node_budgeted`] machinery the healthy
+//! planner uses) against the degraded
 //! capabilities, and adopts the new plan only when it simulates at least
 //! as fast as the old plan on the *same* degraded hardware — the
 //! replanner never makes things worse.

@@ -1,13 +1,18 @@
 //! Supervised batch serving: plan a queue of (network, hardware,
 //! budget) requests the way a production scheduler would submit them.
 //!
-//! [`plan_many`] runs each admitted request through a fresh [`Planner`]
-//! with **per-request isolation**: a panic while planning one request
-//! is caught and surfaces as that request's
-//! [`PlanError::WorkerPanic`] — the rest of the batch is unaffected.
-//! Requests beyond [`ServeConfig::max_queue`] are **shed** up front
-//! with [`PlanError::Overloaded`] (predictable latency beats unbounded
-//! queueing), requests whose [`Budget`] is already spent when a worker
+//! [`plan_many`] builds each admitted [`PlanRequest`] into a
+//! single-threaded [`Planner`](crate::Planner) and plans it through the
+//! same path as [`Planner::plan_outcome`](crate::Planner::plan_outcome),
+//! so a request gets the same answer either way. The batch's
+//! [`ServeConfig::cache`] and [`ServeConfig::obs`] replace the
+//! request's own plan cache and observability handle. Each request is
+//! **isolated**: a panic while planning one request is caught and
+//! surfaces as that request's [`PlanError::WorkerPanic`] — the rest of
+//! the batch is unaffected. Requests beyond [`ServeConfig::max_queue`]
+//! are **shed** up front with [`PlanError::Overloaded`] (predictable
+//! latency beats unbounded queueing), requests whose
+//! [`Budget`](crate::Budget) is already spent when a worker
 //! picks them up are shed with [`PlanError::Interrupted`] *before* any
 //! fingerprinting or planning work (`serve.shed` events carry a
 //! `shed_reason` of `queue-full` or `budget-expiry`), and a
@@ -28,87 +33,16 @@
 //! `serve.node_budget_hits`, and the `serve.ttfp_ns` histogram of
 //! time-to-first-feasible-plan per request.
 
-use crate::cache::{CacheOutcome, PlanCache};
+use crate::cache::PlanCache;
 use crate::error::PlanError;
-use crate::planner::{PlanOutcome, PlannedNetwork, Planner, Strategy};
-use accpar_cost::{CostConfig, RatioSolver};
-use accpar_dnn::Network;
-use accpar_hw::{AcceleratorArray, FaultModel};
+use crate::planner::{PlanOutcome, PlanRequest};
 use accpar_obs::Obs;
-use accpar_runtime::{lock_unpoisoned, Budget, Pool, StopReason};
-use accpar_sim::{SimConfig, Simulator};
+use accpar_runtime::{lock_unpoisoned, Pool, StopReason};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
-
-/// One planning request in a [`plan_many`] batch.
-#[derive(Debug, Clone)]
-pub struct PlanRequest<'a> {
-    /// The network to partition.
-    pub network: &'a Network,
-    /// The accelerator array to partition it over.
-    pub array: &'a AcceleratorArray,
-    /// The strategy to plan (default [`Strategy::AccPar`]).
-    pub strategy: Strategy,
-    /// Hierarchy depth (default: bisect to single boards).
-    pub levels: Option<usize>,
-    /// The request's execution budget (default unlimited).
-    pub budget: Budget,
-    /// Current hardware condition (default: healthy). A faulted request
-    /// is answered with a plan adapted to the degraded array: the
-    /// healthy plan (cache hit or fresh) seeds
-    /// [`Planner::replan`]'s never-worse delta machinery, and a cache
-    /// hit used this way is counted as a *demotion* — the stored plan
-    /// was computed for healthy hardware and must not be served as-is.
-    pub faults: Option<&'a FaultModel>,
-}
-
-impl<'a> PlanRequest<'a> {
-    /// A request with default knobs: AccPar, default depth, unlimited
-    /// budget.
-    #[must_use]
-    pub fn new(network: &'a Network, array: &'a AcceleratorArray) -> Self {
-        Self {
-            network,
-            array,
-            strategy: Strategy::AccPar,
-            levels: None,
-            budget: Budget::unlimited(),
-            faults: None,
-        }
-    }
-
-    /// Sets the strategy.
-    #[must_use]
-    pub fn strategy(mut self, strategy: Strategy) -> Self {
-        self.strategy = strategy;
-        self
-    }
-
-    /// Sets the hierarchy depth.
-    #[must_use]
-    pub fn levels(mut self, levels: usize) -> Self {
-        self.levels = Some(levels);
-        self
-    }
-
-    /// Sets the execution budget.
-    #[must_use]
-    pub fn budget(mut self, budget: Budget) -> Self {
-        self.budget = budget;
-        self
-    }
-
-    /// Declares the current hardware condition (see
-    /// [`PlanRequest::faults`]).
-    #[must_use]
-    pub fn faults(mut self, faults: &'a FaultModel) -> Self {
-        self.faults = Some(faults);
-        self
-    }
-}
 
 /// Configuration of a [`plan_many`] batch.
 #[derive(Debug, Clone)]
@@ -125,12 +59,6 @@ pub struct ServeConfig {
     /// is stuck, settled exactly at completion otherwise. `None`
     /// disables stall tracking (default 30s).
     pub watchdog_stall: Option<Duration>,
-    /// Cost-model configuration for every request.
-    pub cost_config: CostConfig,
-    /// Ratio solver for every request.
-    pub solver: RatioSolver,
-    /// Simulator configuration for every request.
-    pub sim_config: SimConfig,
     /// Observability handle; inert by default.
     pub obs: Obs,
     /// Crash-safe plan cache shared by every request (default: none).
@@ -145,9 +73,6 @@ impl Default for ServeConfig {
             max_queue: 64,
             workers: Pool::from_env().threads(),
             watchdog_stall: Some(Duration::from_secs(30)),
-            cost_config: CostConfig::default(),
-            solver: RatioSolver::default(),
-            sim_config: SimConfig::cost_model_aligned(),
             obs: Obs::off(),
             cache: None,
         }
@@ -199,61 +124,6 @@ pub(crate) fn payload_message(payload: &(dyn std::any::Any + Send)) -> String {
     } else {
         "non-string panic payload".to_owned()
     }
-}
-
-/// Plans one request on a fresh single-threaded planner.
-fn serve_one(
-    request: &PlanRequest<'_>,
-    config: &ServeConfig,
-) -> Result<PlanOutcome, PlanError> {
-    let mut builder = Planner::builder(request.network, request.array)
-        .strategy(request.strategy)
-        .cost_config(config.cost_config)
-        .solver(config.solver)
-        .sim_config(config.sim_config)
-        .threads(1)
-        .obs(config.obs.clone());
-    if let Some(levels) = request.levels {
-        builder = builder.levels(levels);
-    }
-    if let Some(cache) = &config.cache {
-        builder = builder.plan_cache(Arc::clone(cache));
-    }
-    let planner = builder.build()?;
-    let (outcome, provenance) =
-        planner.plan_with_budget_cached(request.strategy, &request.budget)?;
-    let Some(faults) = request.faults else {
-        return Ok(outcome);
-    };
-    // Degraded hardware: the cached/fresh plan was computed for the
-    // healthy array, so it is *never* served as-is. A cache hit is
-    // demoted to a warm-start seeding the never-worse replanner.
-    if provenance == CacheOutcome::Hit {
-        if let Some(cache) = &config.cache {
-            cache.note_demotion();
-        }
-        config.obs.event(
-            "cache.demote",
-            &[
-                ("strategy", request.strategy.to_string().into()),
-                ("faults", request.faults.map_or(0, |f| f.faults().len()).into()),
-            ],
-        );
-    }
-    let healthy = outcome.into_planned();
-    let replanned = planner.replan(&healthy, faults)?;
-    let view = request.network.train_view()?;
-    let report = Simulator::new(config.sim_config).simulate(
-        &view,
-        &replanned.plan,
-        &replanned.tree,
-        Some(&replanned.faults),
-    )?;
-    Ok(PlanOutcome::Complete(PlannedNetwork::from_parts(
-        request.strategy,
-        replanned.plan,
-        report,
-    )))
 }
 
 /// Plans a batch of requests with per-request isolation, overload
@@ -391,19 +261,30 @@ pub fn plan_many(
                     }
                     let started = Instant::now();
                     lock_unpoisoned(&starts)[i] = Some(started);
-                    let result =
-                        match catch_unwind(AssertUnwindSafe(|| serve_one(&requests[i], config))) {
-                            Ok(result) => result,
-                            Err(payload) => {
-                                if obs.enabled() {
-                                    obs.counter("serve.panics_recovered").inc();
-                                }
-                                Err(PlanError::WorkerPanic {
-                                    attempts: 1,
-                                    message: payload_message(payload.as_ref()),
-                                })
+                    let result = match catch_unwind(AssertUnwindSafe(|| {
+                        // One thread per request, with the batch's cache
+                        // and observability.
+                        let request = &requests[i];
+                        PlanRequest {
+                            threads: Some(1),
+                            plan_cache: config.cache.clone(),
+                            obs: config.obs.clone(),
+                            ..request.clone()
+                        }
+                        .build()?
+                        .plan_outcome(request.strategy)
+                    })) {
+                        Ok(result) => result,
+                        Err(payload) => {
+                            if obs.enabled() {
+                                obs.counter("serve.panics_recovered").inc();
                             }
-                        };
+                            Err(PlanError::WorkerPanic {
+                                attempts: 1,
+                                message: payload_message(payload.as_ref()),
+                            })
+                        }
+                    };
                     lock_unpoisoned(&starts)[i] = None;
                     if config
                         .watchdog_stall
@@ -467,9 +348,10 @@ pub fn plan_many(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::planner::Strategy;
     use accpar_dnn::zoo;
+    use accpar_hw::AcceleratorArray;
     use accpar_obs::Collector;
-    use std::sync::Arc;
 
     #[test]
     fn results_come_back_in_request_order() {

@@ -74,6 +74,7 @@ use crate::baselines::data_parallel_plan;
 use crate::error::PlanError;
 use crate::hierarchy::plan_node_budgeted;
 use crate::memo::SearchCache;
+use crate::planner::default_levels;
 use crate::replan::{replan_with, survive, ReplanConfig, ReplanOutcome};
 use crate::search::SearchConfig;
 use crate::serve::payload_message;
@@ -356,10 +357,7 @@ impl Supervisor {
     ) -> Result<Self, PlanError> {
         config.validate()?;
         let view = network.train_view()?;
-        let levels = levels.unwrap_or_else(|| {
-            let boards = array.len().max(1);
-            (usize::BITS as usize - 1 - boards.leading_zeros() as usize).max(1)
-        });
+        let levels = levels.unwrap_or_else(|| default_levels(array));
         let tree = GroupTree::bisect(array, levels)?;
         let cache = SearchCache::new();
         let pool = config.threads.map_or_else(Pool::from_env, Pool::new);

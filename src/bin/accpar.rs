@@ -181,16 +181,16 @@ fn setup(args: &Args) -> Result<Setup, String> {
     })
 }
 
-fn builder<'a>(setup: &'a Setup) -> PlannerBuilder<'a> {
-    let mut b = Planner::builder(&setup.network, &setup.array).sim_config(SimConfig::default());
-    if let Some(levels) = setup.levels {
-        b = b.levels(levels);
+fn request<'a>(setup: &'a Setup) -> PlanRequest<'a> {
+    let request = Planner::builder(&setup.network, &setup.array).sim_config(SimConfig::default());
+    match setup.levels {
+        Some(levels) => request.levels(levels),
+        None => request,
     }
-    b
 }
 
 fn planner<'a>(setup: &'a Setup) -> Result<Planner<'a>, String> {
-    builder(setup).build().map_err(|e| e.to_string())
+    request(setup).build().map_err(|e| e.to_string())
 }
 
 fn cmd_models() -> Result<(), String> {
@@ -245,19 +245,15 @@ fn cache_from_args(args: &Args) -> Result<Option<std::sync::Arc<PlanCache>>, Str
 
 fn cmd_plan(args: &Args) -> Result<(), String> {
     let setup = setup(args)?;
-    let mut b = builder(&setup);
-    if let Some(ms) = u64_flag(args, "deadline-ms")? {
-        b = b.deadline(std::time::Duration::from_millis(ms));
-    }
-    if let Some(nodes) = u64_flag(args, "max-nodes")? {
-        b = b.max_nodes(nodes);
-    }
+    let deadline = u64_flag(args, "deadline-ms")?.map(std::time::Duration::from_millis);
+    let max_nodes = u64_flag(args, "max-nodes")?;
+    let mut base = request(&setup);
     if args.has("no-iso") {
-        b = b.iso(false);
+        base = base.iso(false);
     }
     let cache = cache_from_args(args)?;
     if let Some(cache) = &cache {
-        b = b.plan_cache(std::sync::Arc::clone(cache));
+        base = base.plan_cache(std::sync::Arc::clone(cache));
         if cache.persistent() {
             let report = cache.load_report();
             eprintln!(
@@ -272,14 +268,27 @@ fn cmd_plan(args: &Args) -> Result<(), String> {
             );
         }
     }
-    let planner = b.build().map_err(|e| e.to_string())?;
     let strategies: Vec<Strategy> = match args.get("strategy").unwrap_or("accpar") {
         "all" => Strategy::ALL.to_vec(),
         name => vec![parse_strategy(name)?],
     };
     let mut dp_ms = None;
     for strategy in strategies {
-        let outcome = planner.plan_outcome(strategy).map_err(|e| e.to_string())?;
+        // One request per strategy, each with a fresh budget: the
+        // deadline runs from the start of its own plan.
+        let mut budget = Budget::unlimited();
+        if let Some(deadline) = deadline {
+            budget = budget.deadline(deadline);
+        }
+        if let Some(nodes) = max_nodes {
+            budget = budget.max_nodes(nodes);
+        }
+        let outcome = base
+            .clone()
+            .budget(budget)
+            .build()
+            .and_then(|planner| planner.plan_outcome(strategy))
+            .map_err(|e| e.to_string())?;
         let stop_note = match &outcome {
             PlanOutcome::Complete(_) => String::new(),
             PlanOutcome::Partial(p) => format!(
@@ -366,7 +375,7 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
         update,
         ..SimConfig::default()
     };
-    let planner = builder(&setup)
+    let planner = request(&setup)
         .sim_config(sim_config)
         .build()
         .map_err(|e| e.to_string())?;

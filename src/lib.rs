@@ -34,9 +34,10 @@
 //! * [`obs`] — structured tracing, metrics and profiling hooks
 //!   ([`obs::Obs`], [`obs::Subscriber`], [`obs::Metrics`]).
 //!
-//! Errors from any layer unify into [`AccParError`], and a planner is
-//! configured through [`prelude::PlannerBuilder`]
-//! (`Planner::builder(..)`), which validates every knob up front.
+//! Errors from any layer unify into [`AccParError`]. A plan is
+//! configured by one value, [`prelude::PlanRequest`]
+//! (`Planner::builder(..)` starts one), whose `build` validates every
+//! knob up front.
 //!
 //! # Quickstart
 //!
@@ -76,7 +77,7 @@
 //!     .levels(2)
 //!     .subscriber(Arc::clone(&collector))
 //!     .build()?;
-//! let planned = planner.run()?;
+//! let planned = planner.plan(Strategy::AccPar)?;
 //!
 //! // One decision event per (plan-tree node, weighted layer).
 //! let decisions = collector.events_named("plan.decision");
@@ -108,8 +109,8 @@ pub mod prelude {
     pub use accpar_core::{
         baselines, plan_many, replan, AnytimeReport, Budget, CacheOutcome, CacheStats, CancelToken,
         PartialPlan, PlanCache, PlanCacheStats, PlanError, PlanOutcome, PlanRequest, PlannedNetwork,
-        Planner, PlannerBuilder, ReplanConfig, ReplanOutcome, RetryPolicy, SearchCache, ServeConfig,
-        StopReason, Strategy, SuperviseAction, SuperviseConfig, SuperviseReport, Supervisor,
+        Planner, ReplanConfig, ReplanOutcome, RetryPolicy, SearchCache, ServeConfig, StopReason,
+        Strategy, SuperviseAction, SuperviseConfig, SuperviseReport, Supervisor,
     };
     pub use accpar_cost::{CostConfig, CostModel, PairEnv, RatioSolver};
     pub use accpar_dnn::{zoo, Network, NetworkBuilder};

@@ -1,5 +1,5 @@
 //! The isomorphism differential battery: collapsed planning
-//! (`PlannerBuilder::iso(true)`, the default) must be **bit-identical**
+//! (`PlanRequest::iso(true)`, the default) must be **bit-identical**
 //! to uncollapsed planning on every input — the collapse is an
 //! optimization of how the DP traverses the level, never of what it
 //! computes. Every test here plans the same request twice, once per
@@ -169,22 +169,23 @@ fn armed_budgets_agree_level_by_level() {
     let (reference, reference_on) = plan_pair(&network, &array, 2, 1);
     assert_bit_identical(&reference, &reference_on, "unbudgeted reference");
 
-    let planner = |iso: bool| {
+    let planner = |iso: bool, budget: Budget| {
         Planner::builder(&network, &array)
             .levels(2)
             .threads(1)
             .caching(false)
             .iso(iso)
+            .budget(budget)
             .build()
             .expect("planner builds")
     };
     for cap in [0, 1, 2, 3, 5, 8, 13, 1_000_000] {
         let budget = || Budget::unlimited().max_nodes(cap);
-        let off = planner(false)
-            .plan_with_budget(Strategy::AccPar, &budget())
+        let off = planner(false, budget())
+            .plan_outcome(Strategy::AccPar)
             .expect("uncollapsed budgeted plan");
-        let on = planner(true)
-            .plan_with_budget(Strategy::AccPar, &budget())
+        let on = planner(true, budget())
+            .plan_outcome(Strategy::AccPar)
             .expect("collapsed budgeted plan");
         let solved_off = assert_solved_or_fallback(
             off.planned().plan(),
@@ -210,6 +211,53 @@ fn armed_budgets_agree_level_by_level() {
                 off.planned(),
                 on.planned(),
                 &format!("cap {cap} boundary"),
+            );
+        }
+    }
+}
+
+/// A budgeted plan does not depend on the thread count: siblings share
+/// the budget, so a limited one walks the hierarchy serially in
+/// pre-order and solves the same levels on 1 and 4 threads, run after
+/// run, across a ladder of node caps from one to fourteen rows per
+/// weighted layer.
+#[test]
+fn budgeted_plans_do_not_depend_on_the_thread_count() {
+    let network = zoo::resnet18(32).expect("zoo network");
+    let array = AcceleratorArray::heterogeneous_tpu(4, 4);
+    let rows = network.train_view().expect("train view").weighted_len() as u64;
+    let plan = |threads: usize, cap: u64| {
+        Planner::builder(&network, &array)
+            .threads(threads)
+            .budget(Budget::unlimited().max_nodes(cap))
+            .build()
+            .expect("planner builds")
+            .plan_outcome(Strategy::AccPar)
+            .expect("budgeted plan")
+    };
+    let levels = |outcome: &PlanOutcome| match outcome {
+        PlanOutcome::Complete(_) => None,
+        PlanOutcome::Partial(p) => Some((p.solved_levels(), p.fallback_levels())),
+    };
+    for k in 1..=14 {
+        let cap = k * rows;
+        for run in 0..10 {
+            let (serial, parallel) = (plan(1, cap), plan(4, cap));
+            let what = format!("cap {k}x{rows} run {run}");
+            assert_eq!(
+                serial.planned().plan(),
+                parallel.planned().plan(),
+                "{what}: 4-thread plan tree diverged from 1-thread"
+            );
+            assert_eq!(
+                serial.planned().modeled_cost().to_bits(),
+                parallel.planned().modeled_cost().to_bits(),
+                "{what}: 4-thread cost diverged from 1-thread"
+            );
+            assert_eq!(
+                levels(&serial),
+                levels(&parallel),
+                "{what}: solved and fallback levels diverged"
             );
         }
     }

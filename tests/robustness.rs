@@ -174,7 +174,7 @@ fn zero_node_budget_yields_the_pure_data_parallel_plan() {
     let planner = Planner::builder(&network, &array)
         .levels(2)
         .threads(1)
-        .max_nodes(0)
+        .budget(Budget::unlimited().max_nodes(0))
         .build()
         .unwrap();
 
@@ -208,21 +208,25 @@ fn plan_quality_is_monotone_in_the_node_budget() {
     }
     let network = common::mlp(g.range(32, 129), &dims);
     let array = AcceleratorArray::heterogeneous_tpu(2, 2);
-    let planner = Planner::builder(&network, &array)
-        .levels(2)
-        .threads(1)
-        .build()
-        .unwrap();
-    let dp_cost = planner.plan(Strategy::DataParallel).unwrap().modeled_cost();
+    let planner = |budget: Budget| {
+        Planner::builder(&network, &array)
+            .levels(2)
+            .threads(1)
+            .budget(budget)
+            .build()
+            .unwrap()
+    };
+    let dp_cost = planner(Budget::unlimited())
+        .plan(Strategy::DataParallel)
+        .unwrap()
+        .modeled_cost();
 
     let rows = network.train_view().unwrap().weighted_len() as u64;
     let mut last_completeness = -1.0f64;
     let mut last_cost = f64::INFINITY;
     for budget_rows in [0, rows, 2 * rows, 3 * rows, u64::MAX] {
         let budget = Budget::unlimited().max_nodes(budget_rows);
-        let outcome = planner
-            .plan_with_budget(Strategy::AccPar, &budget)
-            .unwrap();
+        let outcome = planner(budget).plan_outcome(Strategy::AccPar).unwrap();
         let completeness = outcome.completeness();
         let cost = outcome.planned().modeled_cost();
         assert!(
@@ -252,7 +256,7 @@ fn cancellation_mid_hierarchy_yields_a_simulatable_plan() {
     let planner = Planner::builder(&network, &array)
         .levels(2)
         .threads(1)
-        .max_nodes(rows)
+        .budget(Budget::unlimited().max_nodes(rows))
         .build()
         .unwrap();
     let outcome = planner.plan_outcome(Strategy::AccPar).unwrap();
@@ -275,7 +279,7 @@ fn cancellation_mid_hierarchy_yields_a_simulatable_plan() {
     let cancelled = Planner::builder(&network, &array)
         .levels(2)
         .threads(1)
-        .cancel(token)
+        .budget(Budget::unlimited().cancel_token(&token))
         .build()
         .unwrap()
         .plan_outcome(Strategy::AccPar)
@@ -302,14 +306,15 @@ fn an_injected_worker_panic_is_retried_to_a_bit_identical_plan() {
         .unwrap();
 
     let collector = Arc::new(Collector::new());
+    let chaos = Budget::unlimited().chaos_panic_at_node(5);
     let planner = Planner::builder(&network, &array)
         .levels(2)
         .threads(4)
         .subscriber(Arc::clone(&collector))
+        .budget(chaos)
         .build()
         .unwrap();
-    let chaos = Budget::unlimited().chaos_panic_at_node(5);
-    let outcome = planner.plan_with_budget(Strategy::AccPar, &chaos).unwrap();
+    let outcome = planner.plan_outcome(Strategy::AccPar).unwrap();
     assert!(outcome.is_complete(), "the retried search still completes");
     assert_eq!(outcome.planned().plan(), serial.plan());
     assert_eq!(
@@ -352,7 +357,7 @@ fn plan_many_exhibits_all_four_outcomes() {
         obs: Obs::new(Arc::clone(&collector)),
         ..ServeConfig::default()
     };
-    let results = Planner::plan_many(&requests, &config);
+    let results = plan_many(&requests, &config);
     assert_eq!(results.len(), 4);
 
     // 1: complete.
@@ -403,4 +408,143 @@ fn the_watchdog_flags_a_stalled_request() {
     let snap = collector.last_metrics().unwrap();
     assert!(snap.counter("serve.stalled") >= 1);
     assert!(!collector.events_named("serve.stalled").is_empty());
+}
+
+// ---------------------------------------------------------------------
+// One planning path: a `Planner` and `plan_many` answer alike.
+// ---------------------------------------------------------------------
+
+fn assert_same_plan(a: &PlanOutcome, b: &PlanOutcome, what: &str) {
+    assert_eq!(a.planned().plan(), b.planned().plan(), "{what}: plan trees differ");
+    assert_eq!(
+        a.planned().modeled_cost().to_bits(),
+        b.planned().modeled_cost().to_bits(),
+        "{what}: costs differ"
+    );
+}
+
+/// The same request through `Planner::plan_outcome` and through a
+/// one-worker `plan_many` gets the same plan: healthy and faulted,
+/// without a plan cache, and through a shared plan cache on a cold call
+/// and then on a hit. The healthy plan is exactly the hierarchical
+/// search plus a BSP evaluation, and a request capped at one node per
+/// layer gets the same anytime outcome either way.
+#[test]
+fn planner_and_plan_many_answer_every_request_alike() {
+    use accpar::core::hierarchy::plan_node_budgeted;
+    use accpar::core::SearchConfig;
+    use accpar::runtime::Pool;
+
+    let array = AcceleratorArray::heterogeneous_tpu(2, 2);
+    // A slow leaf plus a degraded cut that slow all three networks, so a
+    // healthy answer cannot pass for a faulted one.
+    let faults = FaultModel::with_seed(7)
+        .slow_leaf(3, 0.5)
+        .expect("valid factor")
+        .degrade_cut(2, 0.25)
+        .expect("valid factor");
+    let direct = |request: PlanRequest<'_>| {
+        request
+            .build()
+            .expect("request builds")
+            .plan_outcome(Strategy::AccPar)
+            .expect("planner plans")
+    };
+    let served = |request: PlanRequest<'_>, cache: Option<&Arc<PlanCache>>| {
+        let config = ServeConfig {
+            workers: 1,
+            cache: cache.cloned(),
+            ..ServeConfig::default()
+        };
+        let mut results = plan_many(&[request], &config);
+        results.pop().expect("one result").expect("plan_many plans")
+    };
+    let networks = [
+        zoo::lenet(64).expect("zoo network"),
+        zoo::alexnet(128).expect("zoo network"),
+        zoo::bert_base(4, 32).expect("zoo network"),
+    ];
+    let mut partials = 0;
+    for network in &networks {
+        let name = network.name();
+        let mut healthy_secs = None;
+        for faulted in [false, true] {
+            let request = || {
+                let request = Planner::builder(network, &array).levels(2);
+                if faulted {
+                    request.faults(&faults)
+                } else {
+                    request
+                }
+            };
+            let what = format!("{name} faulted={faulted}");
+            let truth = direct(request());
+            let secs = truth.planned().modeled_cost();
+            match healthy_secs {
+                None => healthy_secs = Some(secs),
+                Some(healthy) => assert!(secs > healthy, "{what}: the faults must slow the step"),
+            }
+            assert_same_plan(&truth, &served(request(), None), &format!("{what} uncached"));
+
+            // A cache shared by both entry points: whichever plans cold
+            // fills it, and the other is served the validated hit.
+            for planner_first in [true, false] {
+                let cache = Arc::new(PlanCache::memory(8));
+                let cached = || request().plan_cache(Arc::clone(&cache));
+                let (cold, hit) = if planner_first {
+                    (direct(cached()), served(request(), Some(&cache)))
+                } else {
+                    (served(request(), Some(&cache)), direct(cached()))
+                };
+                let order = if planner_first {
+                    "planner then plan_many"
+                } else {
+                    "plan_many then planner"
+                };
+                assert_same_plan(&truth, &cold, &format!("{what} cold, {order}"));
+                assert_same_plan(&truth, &hit, &format!("{what} hit, {order}"));
+                let stats = cache.stats();
+                assert_eq!((stats.misses, stats.hits), (1, 1), "{what}: {order}");
+                assert_eq!(stats.demotions, u64::from(faulted), "{what}: {order}");
+            }
+
+            // One node per layer: a fresh budget for each call.
+            let rows = network.train_view().expect("train view").weighted_len() as u64;
+            let capped = || request().budget(Budget::unlimited().max_nodes(rows));
+            let (a, b) = (direct(capped()), served(capped(), None));
+            assert_eq!(a, b, "{what}: capped outcomes differ");
+            assert_same_plan(&a, &b, &format!("{what} capped"));
+            partials += usize::from(!a.is_complete());
+        }
+
+        // The healthy plan is the search plus its evaluation, called the
+        // way the benchmark decomposes a cold plan.
+        let view = network.train_view().expect("train view");
+        let tree = GroupTree::bisect(&array, 2).expect("bisects");
+        let (plan, _) = plan_node_budgeted(
+            &view,
+            tree.root(),
+            &CostModel::new(CostConfig::default()),
+            &SearchConfig::accpar_with(RatioSolver::default()),
+            None,
+            Pool::serial(),
+            Some(&SearchCache::new()),
+            &Obs::off(),
+            None,
+            &Budget::unlimited(),
+        )
+        .expect("search succeeds");
+        let plan = plan.expect("the bisected tree has levels");
+        let report = simulate(&SimConfig::cost_model_aligned(), &view, &plan, &tree, None)
+            .expect("plan simulates");
+        let healthy = direct(Planner::builder(network, &array).levels(2));
+        assert_eq!(healthy.planned().plan(), &plan, "{name}: decomposed plan differs");
+        assert_eq!(
+            healthy.planned().modeled_cost().to_bits(),
+            report.total_secs.to_bits(),
+            "{name}: decomposed cost differs"
+        );
+    }
+    // LeNet's and AlexNet's healthy searches stop at the cap.
+    assert_eq!(partials, 2, "the one-node-per-layer cap stops the CNN searches");
 }

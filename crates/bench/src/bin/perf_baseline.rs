@@ -677,16 +677,12 @@ fn main() -> ExitCode {
             .plan(Strategy::AccPar)
             .expect("cold plan")
     });
-    let mut supervisor = Supervisor::new(
-        &r50,
-        &hetero,
-        None,
-        SuperviseConfig {
-            threads: Some(threads),
-            ..SuperviseConfig::default()
-        },
-    )
-    .expect("supervisor builds");
+    let mut supervisor = Planner::builder(&r50, &hetero)
+        .threads(threads)
+        .build()
+        .expect("resnet50 configures cleanly")
+        .supervise(SuperviseConfig::default())
+        .expect("supervisor builds");
     let mut sup_clock = 0.0_f64;
     let excursion = |sup: &mut Supervisor, clock: &mut f64| {
         for kind in [
@@ -926,24 +922,15 @@ fn main() -> ExitCode {
         let file = std::fs::File::create(path).expect("create health trace file");
         let subscriber = Arc::new(JsonLines::new(std::io::BufWriter::new(file)));
         let obs = Obs::new(Arc::clone(&subscriber));
-        Planner::builder(&vgg, &hetero)
+        let traced_planner = Planner::builder(&vgg, &hetero)
             .threads(threads)
             .obs(obs.clone())
             .build()
-            .expect("vgg16 configures cleanly")
-            .plan(Strategy::AccPar)
-            .expect("traced plan");
-        let mut traced_sup = Supervisor::new(
-            &vgg,
-            &hetero,
-            None,
-            SuperviseConfig {
-                threads: Some(threads),
-                obs: obs.clone(),
-                ..SuperviseConfig::default()
-            },
-        )
-        .expect("supervisor builds");
+            .expect("vgg16 configures cleanly");
+        traced_planner.plan(Strategy::AccPar).expect("traced plan");
+        let mut traced_sup = traced_planner
+            .supervise(SuperviseConfig::default())
+            .expect("supervisor builds");
         let schedule = HealthSchedule::random(
             11,
             traced_sup.leaf_count(),

@@ -1,6 +1,6 @@
 //! Deterministic chaos harness: replay seeded hardware health
 //! timelines through the live-replanning
-//! [`Supervisor`] and report serving metrics.
+//! [`Supervisor`](accpar_core::Supervisor) and report serving metrics.
 //!
 //! For every (network, seed) pair the harness generates a random
 //! [`HealthSchedule`] over the supervised tree's leaves and cuts,
@@ -11,11 +11,10 @@
 //! set with a fresh cache. Everything is seeded and analytic, so two
 //! runs of the same arguments produce identical rows.
 
-use accpar_core::replan::{replan, ReplanConfig};
-use accpar_core::supervise::{SuperviseAction, SuperviseConfig, Supervisor};
-use accpar_core::PlanError;
+use accpar_core::supervise::{SuperviseAction, SuperviseConfig};
+use accpar_core::{PlanError, Planner, Strategy};
 use accpar_dnn::zoo;
-use accpar_hw::{AcceleratorArray, FaultModel, GroupTree, HealthSchedule};
+use accpar_hw::{AcceleratorArray, FaultModel, HealthSchedule};
 
 /// One chaos replay: a network under one seeded health timeline.
 #[derive(Debug, Clone, PartialEq)]
@@ -60,35 +59,22 @@ pub fn chaos_run(
     n_events: usize,
 ) -> Result<ChaosRow, PlanError> {
     let net = zoo::by_name(network, batch)?;
-    let config = SuperviseConfig {
-        threads: Some(1),
-        ..SuperviseConfig::default()
-    };
-    let mut sup = Supervisor::new(&net, array, Some(levels), config)?;
+    let planner = || Planner::builder(&net, array).levels(levels).threads(1).build();
+    let mut sup = planner()?.supervise(SuperviseConfig::default())?;
     let schedule = HealthSchedule::random(seed, sup.leaf_count(), sup.cut_count(), n_events)
         .map_err(PlanError::Hw)?;
     let report = sup.run(&schedule)?;
 
-    // Convergence: one direct replan against the terminal fault set,
-    // fresh cache, must reproduce the settled plan bit for bit.
+    // Convergence: one direct replan of the healthy plan against the
+    // terminal fault set, fresh cache, must reproduce the settled plan
+    // bit for bit.
     let terminal = schedule
         .fold_all(FaultModel::new())
         .map_err(PlanError::Hw)?;
-    let view = net.train_view()?;
-    let tree = GroupTree::bisect(array, levels)?;
-    let direct = replan(
-        &view,
-        array,
-        &tree,
-        sup.healthy_plan(),
-        &terminal,
-        &ReplanConfig {
-            sensitivity: false,
-            threads: Some(1),
-            ..ReplanConfig::default()
-        },
-    )?;
-    let converged = sup.plan() == Some(&direct.plan);
+    let fresh = planner()?;
+    let healthy = fresh.plan(Strategy::AccPar)?;
+    let direct = fresh.replan(&healthy, &terminal)?;
+    let converged = healthy.plan() == sup.healthy_plan() && sup.plan() == Some(&direct.plan);
 
     let mut rungs = (0, 0, 0, 0, 0, 0);
     for decision in &report.decisions {

@@ -21,7 +21,6 @@ pub mod svg;
 pub mod tables;
 
 pub use experiments::{
-    figure5, figure6, figure7, figure8, geomean, speedup_rows, transformer_speedups, Figure7,
-    Fig8Row, SpeedupRow,
-    PAPER_BATCH,
+    archive, figure5, figure6, figure7, figure8, geomean, speedup_rows, transformer_speedups,
+    Figure7, Fig8Row, SpeedupRow, PAPER_BATCH,
 };

@@ -13,7 +13,7 @@
 //! Everything is seeded and analytic — two runs of the same scenario
 //! produce bit-identical rows.
 
-use accpar_core::{replan, PlanError, Planner, ReplanConfig, Strategy};
+use accpar_core::{PlanError, Planner, Strategy};
 use accpar_dnn::zoo;
 use accpar_hw::{AcceleratorArray, FaultModel, GroupTree};
 use accpar_sim::{SimConfig, Simulator};
@@ -138,11 +138,6 @@ pub fn scenario_rows(
         .levels(levels)
         .sim_config(sim_config).build().unwrap();
     let sim = Simulator::new(sim_config);
-    let config = ReplanConfig {
-        sim_config,
-        sensitivity: false,
-        ..ReplanConfig::default()
-    };
 
     let mut rows = Vec::with_capacity(Strategy::ALL.len());
     for &strategy in &Strategy::ALL {
@@ -156,7 +151,7 @@ pub fn scenario_rows(
         } else {
             None
         };
-        let outcome = replan(&view, array, &tree, planned.plan(), faults, &config)?;
+        let outcome = planner.replan(&planned, faults)?;
         rows.push(RobustnessRow {
             strategy,
             nominal_ms: planned.modeled_cost() * 1e3,

@@ -12,77 +12,8 @@
 use crate::error::PlanError;
 use accpar_dnn::{TrainLayer, TrainView};
 use accpar_hw::GroupTree;
-use accpar_partition::{LayerPlan, PartitionType, PlanTree, Ratio};
+use accpar_partition::{LayerPlan, PartitionType, PlanTree};
 use accpar_sim::{memory_report, MemoryReport, Optimizer, SimConfig};
-
-/// Tolerance for treating a ratio as sitting on a whole-head boundary.
-const HEAD_EPS: f64 = 1e-9;
-
-/// Per-layer head counts of the view's attention projections, indexed by
-/// layer position (`None` for layers without a head axis).
-fn head_counts(view: &TrainView) -> Vec<Option<usize>> {
-    let mut layers: Vec<&TrainLayer> = view.layers().collect();
-    layers.sort_by_key(|l| l.index());
-    layers.iter().map(|l| l.heads()).collect()
-}
-
-/// Whether `entry` must fall on a whole-head boundary: channel-axis
-/// splits (Types II/III) of a projection with `heads` heads. Token-axis
-/// splits (Type-I) never touch the head dimension.
-fn needs_alignment(entry: LayerPlan, heads: Option<usize>) -> Option<usize> {
-    match (entry.ptype, heads) {
-        (PartitionType::TypeII | PartitionType::TypeIII, Some(h)) if h >= 2 => Some(h),
-        _ => None,
-    }
-}
-
-/// Whether every channel-axis split of an attention projection in `plan`
-/// falls on a whole-head boundary (a multiple of `1/heads`).
-///
-/// Types II and III partition an attention projection's `heads·d_head`
-/// channel axis; the score/softmax/context stage is head-local only if
-/// the cut never slices through a head. Type-I splits the token axis and
-/// is unconstrained. Layers without a head annotation are ignored.
-#[must_use]
-pub fn head_aligned(view: &TrainView, plan: &PlanTree) -> bool {
-    fn node_aligned(tree: &PlanTree, heads: &[Option<usize>]) -> bool {
-        let aligned = heads.iter().enumerate().all(|(l, &h)| {
-            let Some(h) = needs_alignment(tree.plan().layer(l), h) else {
-                return true;
-            };
-            let steps = tree.plan().layer(l).ratio.value() * h as f64;
-            (steps - steps.round()).abs() < HEAD_EPS
-        });
-        aligned
-            && tree
-                .children()
-                .is_none_or(|(a, b)| node_aligned(a, heads) && node_aligned(b, heads))
-    }
-    node_aligned(plan, &head_counts(view))
-}
-
-/// Snaps every channel-axis split of an attention projection to the
-/// nearest whole-head boundary, leaving all other entries untouched. The
-/// result always satisfies [`head_aligned`].
-///
-/// This is an **opt-in** post-pass: the analytic cost model is exact at
-/// any real-valued ratio, so the default planner keeps the unconstrained
-/// optimum; apply this when the execution backend requires whole-head
-/// sharding.
-#[must_use]
-pub fn snap_to_heads(view: &TrainView, plan: &PlanTree) -> PlanTree {
-    let heads = head_counts(view);
-    plan.map_layers(&|l, entry| {
-        let Some(h) = needs_alignment(entry, heads.get(l).copied().flatten()) else {
-            return entry;
-        };
-        let steps = (entry.ratio.value() * h as f64)
-            .round()
-            .clamp(1.0, (h - 1) as f64);
-        let snapped = Ratio::new(steps / h as f64).expect("interior multiple of 1/h");
-        LayerPlan::new(entry.ptype, snapped)
-    })
-}
 
 /// Flips layers to Type-II (heaviest weight first) until the plan's
 /// footprint fits every leaf's HBM. Returns the repaired plan and its
@@ -141,79 +72,8 @@ pub fn fit_to_memory(
 mod tests {
     use super::*;
     use crate::baselines::data_parallel_plan;
-    use accpar_dnn::{zoo, NetworkBuilder};
+    use accpar_dnn::zoo;
     use accpar_hw::{AcceleratorArray, AcceleratorSpec};
-    use accpar_partition::NetworkPlan;
-    use accpar_tensor::FeatureShape;
-
-    /// One 4-head attention (q, k, v, o) followed by a plain FC: five
-    /// weighted layers, of which the first four carry a head axis.
-    fn attn_then_fc() -> accpar_dnn::Network {
-        NetworkBuilder::new("t", FeatureShape::seq(2, 8, 64))
-            .multi_head_attention("attn", 4, 64, 16)
-            .linear("fc", 64, 64)
-            .build()
-            .unwrap()
-    }
-
-    fn single_level(entries: Vec<LayerPlan>) -> PlanTree {
-        let level: NetworkPlan = entries.into_iter().collect();
-        PlanTree::uniform(&[level])
-    }
-
-    #[test]
-    fn snap_moves_channel_splits_to_head_boundaries() {
-        let view = attn_then_fc().train_view().unwrap();
-        // 0.55 of 4 heads = 2.2 heads: off-boundary for II/III.
-        let off = LayerPlan::new(PartitionType::TypeII, Ratio::new(0.55).unwrap());
-        let plan = single_level(vec![off; view.weighted_len()]);
-        assert!(!head_aligned(&view, &plan));
-
-        let snapped = snap_to_heads(&view, &plan);
-        assert!(head_aligned(&view, &snapped));
-        for l in 0..4 {
-            assert!((snapped.plan().layer(l).ratio.value() - 0.5).abs() < 1e-12);
-        }
-        // The plain FC has no head axis and keeps its ratio.
-        assert!((snapped.plan().layer(4).ratio.value() - 0.55).abs() < 1e-12);
-    }
-
-    #[test]
-    fn token_axis_splits_are_unconstrained() {
-        let view = attn_then_fc().train_view().unwrap();
-        // Type-I partitions batch·seq, not heads: any ratio is aligned.
-        let token = LayerPlan::new(PartitionType::TypeI, Ratio::new(0.37).unwrap());
-        let plan = single_level(vec![token; view.weighted_len()]);
-        assert!(head_aligned(&view, &plan));
-        assert_eq!(snap_to_heads(&view, &plan), plan);
-    }
-
-    #[test]
-    fn snap_keeps_at_least_one_head_per_side() {
-        let view = attn_then_fc().train_view().unwrap();
-        // 0.05 of 4 heads rounds to 0 whole heads; the snap must clamp to
-        // 1/4 so both groups keep a non-empty shard.
-        let sliver = LayerPlan::new(PartitionType::TypeIII, Ratio::new(0.05).unwrap());
-        let plan = single_level(vec![sliver; view.weighted_len()]);
-        let snapped = snap_to_heads(&view, &plan);
-        assert!(head_aligned(&view, &snapped));
-        for l in 0..4 {
-            assert!((snapped.plan().layer(l).ratio.value() - 0.25).abs() < 1e-12);
-            assert_eq!(snapped.plan().layer(l).ptype, PartitionType::TypeIII);
-        }
-    }
-
-    #[test]
-    fn alignment_is_checked_at_every_tree_level() {
-        let view = attn_then_fc().train_view().unwrap();
-        let good = LayerPlan::new(PartitionType::TypeII, Ratio::new(0.25).unwrap());
-        let bad = LayerPlan::new(PartitionType::TypeII, Ratio::new(0.3).unwrap());
-        let aligned: NetworkPlan = vec![good; view.weighted_len()].into_iter().collect();
-        let misaligned: NetworkPlan = vec![bad; view.weighted_len()].into_iter().collect();
-        let plan = PlanTree::uniform(&[aligned, misaligned]);
-        assert!(!head_aligned(&view, &plan));
-        assert!(head_aligned(&view, &snap_to_heads(&view, &plan)));
-    }
 
     fn tiny_array(hbm_mib: u64, n: usize) -> AcceleratorArray {
         let spec = AcceleratorSpec::new(

@@ -3,11 +3,11 @@ use crate::cache::{self, CacheOutcome, PlanCache, PlanRecord};
 use crate::error::PlanError;
 use crate::hierarchy::{plan_node_budgeted, AnytimeReport};
 use crate::memo::{CacheStats, SearchCache};
-use crate::replan::{replan_with, ReplanConfig, ReplanOutcome};
+use crate::replan::{Replan, ReplanOutcome};
 use crate::search::SearchConfig;
 use accpar_cost::{CostConfig, CostModel, RatioSolver};
 use accpar_dnn::{Network, TrainView};
-use accpar_hw::{AcceleratorArray, FaultModel, GroupTree};
+use accpar_hw::{AcceleratorArray, FaultModel, GroupNode, GroupTree};
 use accpar_obs::{Obs, Subscriber};
 use accpar_partition::PlanTree;
 use accpar_runtime::{Budget, Pool, StopReason};
@@ -212,9 +212,61 @@ impl PlanOutcome {
 }
 
 /// Default hierarchy depth: bisect down to single boards.
-pub(crate) fn default_levels(array: &AcceleratorArray) -> usize {
+fn default_levels(array: &AcceleratorArray) -> usize {
     let boards = array.len().max(1);
     (usize::BITS as usize - 1 - boards.leading_zeros() as usize).max(1)
+}
+
+/// The knobs every search, evaluation and replan of a request reads:
+/// the part of a [`PlanRequest`] that borrows nothing, which a
+/// [`Supervisor`](crate::Supervisor) keeps for its whole life.
+#[derive(Debug, Clone)]
+pub(crate) struct Knobs {
+    pub(crate) cost_config: CostConfig,
+    pub(crate) solver: RatioSolver,
+    pub(crate) sim_config: SimConfig,
+    pub(crate) iso: bool,
+    pub(crate) obs: Obs,
+}
+
+impl Default for Knobs {
+    fn default() -> Self {
+        Self {
+            cost_config: CostConfig::default(),
+            solver: RatioSolver::default(),
+            sim_config: SimConfig::cost_model_aligned(),
+            iso: true,
+            obs: Obs::off(),
+        }
+    }
+}
+
+impl Knobs {
+    /// The simulator that evaluates every plan of the request.
+    pub(crate) fn simulator(&self) -> Simulator {
+        Simulator::new(self.sim_config).with_obs(self.obs.clone())
+    }
+
+    /// The AccPar search of `node` under these knobs — the one place
+    /// that builds the cost model and the search configuration and
+    /// walks the hierarchy. Healthy plans, replans and supervisor
+    /// decisions all search here.
+    pub(crate) fn search(
+        &self,
+        view: &TrainView,
+        node: &GroupNode,
+        pool: Pool,
+        memo: Option<&SearchCache>,
+        budget: &Budget,
+        parent: Option<u64>,
+    ) -> Result<(Option<PlanTree>, AnytimeReport), PlanError> {
+        let mut config = SearchConfig::accpar_with(self.solver);
+        config.collapse = self.iso;
+        let model = CostModel::new(self.cost_config);
+        plan_node_budgeted(
+            view, node, &model, &config, None, pool, memo, &self.obs, parent, budget,
+        )
+    }
 }
 
 /// One plan request: a network, an array and every knob of the plan —
@@ -257,15 +309,11 @@ pub struct PlanRequest<'a> {
     pub(crate) array: &'a AcceleratorArray,
     pub(crate) strategy: Strategy,
     pub(crate) levels: Option<usize>,
-    pub(crate) cost_config: CostConfig,
-    pub(crate) solver: RatioSolver,
-    pub(crate) sim_config: SimConfig,
+    pub(crate) knobs: Knobs,
     pub(crate) threads: Option<usize>,
     pub(crate) caching: bool,
-    pub(crate) iso: bool,
     pub(crate) cache: Option<Arc<SearchCache>>,
     pub(crate) plan_cache: Option<Arc<PlanCache>>,
-    pub(crate) obs: Obs,
     pub(crate) budget: Budget,
     pub(crate) faults: Option<&'a FaultModel>,
 }
@@ -280,15 +328,11 @@ impl<'a> PlanRequest<'a> {
             array,
             strategy: Strategy::AccPar,
             levels: None,
-            cost_config: CostConfig::default(),
-            solver: RatioSolver::default(),
-            sim_config: SimConfig::cost_model_aligned(),
+            knobs: Knobs::default(),
             threads: None,
             caching: true,
-            iso: true,
             cache: None,
             plan_cache: None,
-            obs: Obs::off(),
             budget: Budget::unlimited(),
             faults: None,
         }
@@ -315,14 +359,14 @@ impl<'a> PlanRequest<'a> {
     /// Cost-model configuration used by the AccPar search.
     #[must_use]
     pub fn cost_config(mut self, config: CostConfig) -> Self {
-        self.cost_config = config;
+        self.knobs.cost_config = config;
         self
     }
 
     /// Ratio solver used by the AccPar search.
     #[must_use]
     pub fn solver(mut self, solver: RatioSolver) -> Self {
-        self.solver = solver;
+        self.knobs.solver = solver;
         self
     }
 
@@ -330,7 +374,7 @@ impl<'a> PlanRequest<'a> {
     /// [`PlannedNetwork::modeled_cost`].
     #[must_use]
     pub fn sim_config(mut self, config: SimConfig) -> Self {
-        self.sim_config = config;
+        self.knobs.sim_config = config;
         self
     }
 
@@ -372,7 +416,7 @@ impl<'a> PlanRequest<'a> {
     /// only to cross-check or to measure the collapse speedup itself.
     #[must_use]
     pub fn iso(mut self, on: bool) -> Self {
-        self.iso = on;
+        self.knobs.iso = on;
         self
     }
 
@@ -399,7 +443,7 @@ impl<'a> PlanRequest<'a> {
     /// [`ServeConfig::obs`](crate::ServeConfig::obs).
     #[must_use]
     pub fn subscriber(mut self, subscriber: impl Subscriber + 'static) -> Self {
-        self.obs = Obs::new(subscriber);
+        self.knobs.obs = Obs::new(subscriber);
         self
     }
 
@@ -409,7 +453,7 @@ impl<'a> PlanRequest<'a> {
     /// [`ServeConfig::obs`](crate::ServeConfig::obs).
     #[must_use]
     pub fn obs(mut self, obs: Obs) -> Self {
-        self.obs = obs;
+        self.knobs.obs = obs;
         self
     }
 
@@ -421,6 +465,12 @@ impl<'a> PlanRequest<'a> {
     /// [`PlanOutcome::Partial`]. A budget's deadline runs from its
     /// construction and its clones share one node counter, so give each
     /// plan that needs the full allowance a request with a fresh budget.
+    /// The replan of a faulted request is not charged. A
+    /// [`Supervisor`](crate::Supervisor) from [`Planner::supervise`]
+    /// plans its healthy baseline under this budget and each replan
+    /// attempt under a [`fresh`](Budget::fresh) copy (the same limits,
+    /// zeroed counters, a relative deadline re-armed), where a stop
+    /// falls back to data parallelism on the stopped levels.
     #[must_use]
     pub fn budget(mut self, budget: Budget) -> Self {
         self.budget = budget;
@@ -478,6 +528,8 @@ impl<'a> PlanRequest<'a> {
 /// Built with [`Planner::builder`]. Every plan takes one path: consult
 /// the plan cache, search, evaluate, and — when the request carries
 /// faults — replan never-worse for the degraded array.
+/// [`Planner::replan`] and [`Planner::supervise`] plan under the same
+/// request.
 ///
 /// # Example
 ///
@@ -495,13 +547,13 @@ impl<'a> PlanRequest<'a> {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Planner<'a> {
-    request: PlanRequest<'a>,
+    pub(crate) request: PlanRequest<'a>,
     /// The request's search memo; shared across clones so replans reuse
     /// the planning run's memo.
-    memo: Arc<SearchCache>,
+    pub(crate) memo: Arc<SearchCache>,
     /// Derived once at build and shared by every plan.
-    view: TrainView,
-    tree: GroupTree,
+    pub(crate) view: TrainView,
+    pub(crate) tree: GroupTree,
 }
 
 impl<'a> Planner<'a> {
@@ -532,7 +584,7 @@ impl<'a> Planner<'a> {
     /// one).
     #[must_use]
     pub const fn obs(&self) -> &Obs {
-        &self.request.obs
+        &self.request.knobs.obs
     }
 
     /// The hierarchy depth that will be used.
@@ -609,7 +661,10 @@ impl<'a> Planner<'a> {
         if let Some(report) = verified {
             return Ok((report, false));
         }
-        let report = Simulator::new(self.request.sim_config)
+        let report = self
+            .request
+            .knobs
+            .simulator()
             .simulate(&self.view, &record.plan, &self.tree, None)
             .map_err(|_| CacheOutcome::Invalid)?;
         if (report.total_secs - record.cost).abs() > cache::POISON_TOLERANCE {
@@ -622,7 +677,9 @@ impl<'a> Planner<'a> {
     /// [`plan_many`](crate::plan_many) end here. Plans for healthy
     /// hardware, then, when the request carries faults, never serves
     /// that plan as-is: a cache hit is demoted to a warm start and the
-    /// plan is replanned never-worse for the degraded array.
+    /// plan is replanned never-worse for the degraded array. The replan
+    /// starts from the healthy plan's known step time and returns the
+    /// adopted plan's report, so no plan is simulated twice.
     fn plan_on(
         &self,
         strategy: Strategy,
@@ -636,7 +693,7 @@ impl<'a> Planner<'a> {
             if let Some(cache) = &self.request.plan_cache {
                 cache.note_demotion();
             }
-            self.request.obs.event(
+            self.request.knobs.obs.event(
                 "cache.demote",
                 &[
                     ("strategy", strategy.to_string().into()),
@@ -644,12 +701,12 @@ impl<'a> Planner<'a> {
                 ],
             );
         }
-        let replanned = self.replan_on(&self.tree, outcome.planned().plan(), faults, pool)?;
-        let report = Simulator::new(self.request.sim_config).simulate(
-            &self.view,
-            &replanned.plan,
-            &replanned.tree,
-            Some(&replanned.faults),
+        let healthy = outcome.planned();
+        let (replanned, report) = self.replanner(&self.tree, pool).run(
+            healthy.plan(),
+            faults,
+            Some(healthy.modeled_cost()),
+            false,
         )?;
         let planned = PlannedNetwork {
             strategy,
@@ -672,7 +729,8 @@ impl<'a> Planner<'a> {
         let view = &self.view;
         let tree = &self.tree;
         let levels = self.levels();
-        let obs = &request.obs;
+        let knobs = &request.knobs;
+        let obs = &knobs.obs;
         if request.caching {
             self.memo.observe(obs);
         }
@@ -697,9 +755,9 @@ impl<'a> Planner<'a> {
                 request.array,
                 strategy,
                 levels,
-                &request.cost_config,
-                &request.solver,
-                &request.sim_config,
+                &knobs.cost_config,
+                &knobs.solver,
+                &knobs.sim_config,
                 &request.budget,
             );
             (Arc::clone(plan_cache), key)
@@ -765,10 +823,7 @@ impl<'a> Planner<'a> {
             Strategy::Owt => (owt_plan(view, levels), complete),
             Strategy::HyPar => (hypar_plan(view, tree)?, complete),
             Strategy::AccPar => {
-                let model = CostModel::new(request.cost_config);
-                let mut config = SearchConfig::accpar_with(request.solver);
-                config.collapse = request.iso;
-                if request.iso && obs.enabled() {
+                if knobs.iso && obs.enabled() {
                     let iso = accpar_dnn::iso::IsoClasses::of(view);
                     let classes = iso.layer_classes();
                     obs.span_at(
@@ -784,18 +839,8 @@ impl<'a> Planner<'a> {
                     obs.gauge("iso.collapse_ratio").set(iso.collapse_ratio());
                 }
                 let memo = request.caching.then(|| &*self.memo);
-                let (plan, anytime) = plan_node_budgeted(
-                    view,
-                    tree.root(),
-                    &model,
-                    &config,
-                    None,
-                    pool,
-                    memo,
-                    obs,
-                    span.id(),
-                    &request.budget,
-                )?;
+                let (plan, anytime) =
+                    knobs.search(view, tree.root(), pool, memo, &request.budget, span.id())?;
                 let plan = plan.ok_or_else(|| {
                     PlanError::Mismatch("the bisected tree has no levels to plan".into())
                 })?;
@@ -803,9 +848,8 @@ impl<'a> Planner<'a> {
             }
         };
 
-        let report = Simulator::new(request.sim_config)
-            .with_obs(obs.clone())
-            .simulate(view, &plan, tree, None)?;
+        let sim = knobs.simulator();
+        let report = sim.simulate(view, &plan, tree, None)?;
         let planned = PlannedNetwork {
             strategy,
             plan,
@@ -822,9 +866,7 @@ impl<'a> Planner<'a> {
                 .stop
                 .expect("a fallback level implies a stop reason");
             let baseline_plan = data_parallel_plan(view, levels);
-            let baseline_report = Simulator::new(request.sim_config)
-                .with_obs(obs.clone())
-                .simulate(view, &baseline_plan, tree, None)?;
+            let baseline_report = sim.simulate(view, &baseline_plan, tree, None)?;
             let baseline_adopted = baseline_report.total_secs < planned.report.total_secs;
             let planned = if baseline_adopted {
                 PlannedNetwork {
@@ -931,16 +973,16 @@ impl<'a> Planner<'a> {
             ));
         }
         let planned = self.plan(strategy)?;
-        let sim_config = self.request.sim_config;
+        let knobs = &self.request.knobs;
         let (plan, _report) = crate::feasible::fit_to_memory(
             &self.view,
             planned.plan(),
             &self.tree,
-            &sim_config,
+            &knobs.sim_config,
             optimizer,
         )?;
-        let report = Simulator::new(sim_config)
-            .with_obs(self.request.obs.clone())
+        let report = knobs
+            .simulator()
             .simulate(&self.view, &plan, &self.tree, None)?;
         Ok(PlannedNetwork {
             strategy,
@@ -950,8 +992,10 @@ impl<'a> Planner<'a> {
     }
 
     /// Re-plans a previously planned network against a fault scenario:
-    /// graceful degradation with this planner's cost model, solver and
-    /// simulator configuration. See [`crate::replan::replan`].
+    /// graceful degradation under this planner's request (see the
+    /// [`replan`](mod@crate::replan) module), with the per-fault
+    /// [`sensitivity`](ReplanOutcome::sensitivity) sweep. The replan is
+    /// not charged to the request's budget.
     ///
     /// # Errors
     ///
@@ -962,36 +1006,23 @@ impl<'a> Planner<'a> {
         faults: &FaultModel,
     ) -> Result<ReplanOutcome, PlanError> {
         let tree = GroupTree::bisect(self.request.array, planned.plan().depth())?;
-        self.replan_on(&tree, planned.plan(), faults, Pool::new(self.threads()))
+        self.replanner(&tree, Pool::new(self.threads()))
+            .run(planned.plan(), faults, None, true)
+            .map(|(outcome, _)| outcome)
     }
 
-    fn replan_on(
-        &self,
-        tree: &GroupTree,
-        plan: &PlanTree,
-        faults: &FaultModel,
-        pool: Pool,
-    ) -> Result<ReplanOutcome, PlanError> {
-        let request = &self.request;
-        let config = ReplanConfig {
-            cost_config: request.cost_config,
-            solver: request.solver,
-            sim_config: request.sim_config,
-            sensitivity: true,
-            threads: Some(pool.threads()),
-            obs: request.obs.clone(),
-            iso: request.iso,
-            budget: Budget::unlimited(),
-        };
-        replan_with(
-            &self.view,
-            request.array,
+    /// The replan path under this request's knobs and memo, from plans
+    /// over `tree`, unbudgeted.
+    fn replanner<'r>(&'r self, tree: &'r GroupTree, pool: Pool) -> Replan<'r> {
+        Replan {
+            knobs: &self.request.knobs,
+            view: &self.view,
+            array: self.request.array,
             tree,
-            plan,
-            faults,
-            &config,
-            request.caching.then(|| &*self.memo),
-        )
+            memo: self.request.caching.then(|| &*self.memo),
+            pool,
+            budget: Budget::unlimited(),
+        }
     }
 
     /// Plans all four schemes and returns them in [`Strategy::ALL`]
@@ -1209,5 +1240,33 @@ mod tests {
         let plan_span = collector.span_named("plan").unwrap();
         let level = collector.span_named("plan.level").unwrap();
         assert!(collector.nested_under(level.id, plan_span.id));
+    }
+
+    #[test]
+    fn a_faulted_request_simulates_each_plan_once() {
+        let net = zoo::lenet(128).unwrap();
+        let array = AcceleratorArray::heterogeneous_tpu(2, 2);
+        let faults = FaultModel::new().slow_leaf(0, 0.5).unwrap();
+        let cache = Arc::new(PlanCache::memory(8));
+        // Simulations of one faulted request, counted by `sim.report`.
+        let sims = |cache: &Arc<PlanCache>| {
+            let collector = Arc::new(Collector::new());
+            let (_, provenance) = Planner::builder(&net, &array)
+                .plan_cache(Arc::clone(cache))
+                .subscriber(Arc::clone(&collector))
+                .faults(&faults)
+                .build()
+                .unwrap()
+                .plan_cached(Strategy::AccPar)
+                .unwrap();
+            (provenance, collector.events_named("sim.report").len())
+        };
+        // A cold miss: the healthy plan, the stale plan on the degraded
+        // hardware and the candidate.
+        assert_eq!(sims(&cache), (CacheOutcome::Miss, 3));
+        // A verified hit: the stale plan and the candidate only — the
+        // hit's report gives the nominal time, and the adopted plan's
+        // report is the replan's own.
+        assert_eq!(sims(&cache), (CacheOutcome::Hit, 2));
     }
 }

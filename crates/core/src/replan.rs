@@ -1,14 +1,22 @@
 //! Graceful degradation: re-run the layer-wise search against faulted
 //! hardware and report how the plan (and its cost) shifts.
 //!
-//! Given a plan produced for the healthy array and a
-//! [`FaultModel`], [`replan`](fn@replan) folds the rate
-//! faults into a degraded [`GroupTree`], re-runs AccPar's dynamic
-//! program (the same [`plan_node_budgeted`] machinery the healthy
-//! planner uses) against the degraded
+//! Given a plan produced for the healthy array and a [`FaultModel`], a
+//! replan folds the rate faults into a degraded [`GroupTree`], re-runs
+//! AccPar's dynamic program — the same search, under the same request's
+//! knobs, that the healthy planner runs — against the degraded
 //! capabilities, and adopts the new plan only when it simulates at least
 //! as fast as the old plan on the *same* degraded hardware — the
 //! replanner never makes things worse.
+//!
+//! Every replan takes one path. [`Planner::replan`](crate::Planner::replan)
+//! runs it under the planner's request and adds the per-fault
+//! [`sensitivity`](ReplanOutcome::sensitivity) sweep. A faulted
+//! [`PlanRequest`](crate::PlanRequest) and a
+//! [`Supervisor`](crate::Supervisor) run it without the sweep and pass
+//! the healthy step time they already know, so a replan simulates only
+//! the stale and the fresh plan. The free functions [`replan`](fn@replan)
+//! and [`replan_with`] forward to the same path with a default request.
 //!
 //! Dropout changes the tree's shape: the dropped leaves' boards are
 //! removed ([`GroupTree::without_leaves`]) and the search runs on the
@@ -18,29 +26,23 @@
 //! [`ReplanOutcome::discarded`].
 
 use crate::error::PlanError;
-use crate::hierarchy::plan_node_budgeted;
 use crate::memo::SearchCache;
-use crate::search::SearchConfig;
-use accpar_cost::{CostConfig, CostModel, RatioSolver};
+use crate::planner::Knobs;
 use accpar_dnn::TrainView;
 use accpar_hw::{AcceleratorArray, Fault, FaultKind, FaultModel, FaultTarget, GroupTree};
 use accpar_obs::Obs;
 use accpar_partition::{LayerPlan, PlanTree};
 use accpar_runtime::{Budget, Pool};
-use accpar_sim::{SimConfig, Simulator};
+use accpar_sim::SimReport;
 use std::fmt;
 
-/// Configuration of the replanner: the same knobs as
-/// [`Planner`](crate::Planner), plus whether to compute the (more
-/// expensive) per-fault sensitivity summary.
+/// Configuration of the free [`replan`](fn@replan) / [`replan_with`]
+/// forwards, which replan under a default
+/// [`PlanRequest`](crate::PlanRequest). To replan under any other knobs,
+/// build a [`Planner`](crate::Planner) and call
+/// [`Planner::replan`](crate::Planner::replan).
 #[derive(Debug, Clone)]
 pub struct ReplanConfig {
-    /// Cost-model configuration for the degraded search.
-    pub cost_config: CostConfig,
-    /// Ratio solver for the degraded search.
-    pub solver: RatioSolver,
-    /// Simulator configuration used to compare old and new plans.
-    pub sim_config: SimConfig,
     /// Compute [`ReplanOutcome::sensitivity`] (one extra simulation — or,
     /// for dropout, one extra replan — per injected fault).
     pub sensitivity: bool,
@@ -49,36 +51,13 @@ pub struct ReplanConfig {
     /// to the machine's available parallelism). Results are
     /// budget-independent.
     pub threads: Option<usize>,
-    /// Observability handle: counts replans, reports adoption and
-    /// degradation metrics, and emits a `replan.outcome` event. The
-    /// default ([`Obs::off`]) is inert; instrumentation never changes
-    /// the outcome.
-    pub obs: Obs,
-    /// Isomorphism collapse in the degraded search (default: enabled).
-    /// Bit-identical either way — degraded capabilities enter the class
-    /// keys through the environment, so only the classes a fault
-    /// actually touches re-split. See [`SearchConfig::collapse`].
-    pub iso: bool,
-    /// Execution budget for the degraded search (default: unlimited).
-    /// A budget stop is not an error: stopped levels fall back to the
-    /// data-parallel baseline and the never-worse gate still applies to
-    /// whatever the search produced. Budget clones share counters, so
-    /// pass a *fresh* capped budget per call rather than reusing one
-    /// config across replans.
-    pub budget: Budget,
 }
 
 impl Default for ReplanConfig {
     fn default() -> Self {
         Self {
-            cost_config: CostConfig::default(),
-            solver: RatioSolver::default(),
-            sim_config: SimConfig::cost_model_aligned(),
             sensitivity: true,
             threads: None,
-            obs: Obs::off(),
-            iso: true,
-            budget: Budget::unlimited(),
         }
     }
 }
@@ -148,14 +127,16 @@ pub struct ReplanOutcome {
     /// greater than `degraded_old_secs` when that is `Some`.
     pub degraded_secs: f64,
     /// Whether the degraded search ran to DP optimality on every level.
-    /// `false` when a [`ReplanConfig::budget`] stop forced some levels
-    /// onto the data-parallel fallback.
+    /// `false` when a budget stop (a supervisor's replan runs under its
+    /// request's budget) forced some levels onto the data-parallel
+    /// fallback.
     pub complete: bool,
     /// Layer-wise differences between the old and adopted plans (empty
     /// when the tree changed shape and entries are not comparable).
     pub deltas: Vec<PlanDelta>,
-    /// Per-fault solo slowdowns of the original plan (empty unless
-    /// [`ReplanConfig::sensitivity`] is set).
+    /// Per-fault solo slowdowns of the original plan (empty unless the
+    /// caller asked for them: [`Planner::replan`](crate::Planner::replan)
+    /// does, the forwards do when [`ReplanConfig::sensitivity`] is set).
     pub sensitivity: Vec<FaultImpact>,
 }
 
@@ -199,7 +180,8 @@ impl fmt::Display for ReplanOutcome {
     }
 }
 
-/// Re-plans `plan` for `view` on the faulted version of `array`/`tree`.
+/// Re-plans `plan` for `view` on the faulted version of `array`/`tree`
+/// under a default [`PlanRequest`](crate::PlanRequest).
 ///
 /// See the [module docs](self) for the algorithm. The adopted plan's
 /// degraded step time is guaranteed to be at most the old plan's
@@ -240,174 +222,182 @@ pub fn replan_with(
     config: &ReplanConfig,
     cache: Option<&SearchCache>,
 ) -> Result<ReplanOutcome, PlanError> {
-    let pool = config
-        .threads
-        .map_or_else(Pool::from_env, Pool::new);
-    let span = config.obs.span(
-        "replan",
-        &[
-            ("faults", faults.faults().len().into()),
-            ("sensitivity", config.sensitivity.into()),
-        ],
-    );
-    let outcome = replan_inner(
+    let replan = Replan {
+        knobs: &Knobs::default(),
         view,
         array,
         tree,
-        plan,
-        faults,
-        config,
-        config.sensitivity,
-        pool,
-        cache,
-    )?;
-    if config.obs.enabled() {
-        let obs = &config.obs;
-        obs.counter("replan.runs").inc();
-        if outcome.replanned {
-            obs.counter("replan.adopted").inc();
-        }
-        obs.counter("replan.deltas").add(outcome.deltas.len() as u64);
-        obs.counter("replan.discarded_faults")
-            .add(outcome.discarded.len() as u64);
-        obs.gauge("replan.degradation").set(outcome.degradation());
-        span.event(
-            "replan.outcome",
-            &[
-                ("replanned", outcome.replanned.into()),
-                ("deltas", outcome.deltas.len().into()),
-                ("nominal_ms", (outcome.nominal_secs * 1e3).into()),
-                ("degraded_ms", (outcome.degraded_secs * 1e3).into()),
-                (
-                    "speedup",
-                    outcome.speedup().unwrap_or(f64::NAN).into(),
-                ),
-            ],
-        );
-    }
-    Ok(outcome)
+        memo: cache,
+        pool: config.threads.map_or_else(Pool::from_env, Pool::new),
+        budget: Budget::unlimited(),
+    };
+    replan
+        .run(plan, faults, None, config.sensitivity)
+        .map(|(outcome, _)| outcome)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn replan_inner(
-    view: &TrainView,
-    array: &AcceleratorArray,
-    tree: &GroupTree,
-    plan: &PlanTree,
-    faults: &FaultModel,
-    config: &ReplanConfig,
-    with_sensitivity: bool,
-    pool: Pool,
-    cache: Option<&SearchCache>,
-) -> Result<ReplanOutcome, PlanError> {
-    let sim = Simulator::new(config.sim_config);
-    let nominal_secs = sim.simulate(view, plan, tree, None)?.total_secs;
+/// One replan's inputs, borrowed from the planner, supervisor or
+/// forward that runs it: a request's knobs over the healthy tree.
+#[derive(Clone)]
+pub(crate) struct Replan<'r> {
+    pub(crate) knobs: &'r Knobs,
+    pub(crate) view: &'r TrainView,
+    pub(crate) array: &'r AcceleratorArray,
+    pub(crate) tree: &'r GroupTree,
+    pub(crate) memo: Option<&'r SearchCache>,
+    pub(crate) pool: Pool,
+    /// Charged by the degraded search; a stop is not an error.
+    pub(crate) budget: Budget,
+}
 
-    // Survive dropout: remove dropped boards and carry the remaining
-    // faults over to the rebuilt tree.
-    let dropped = faults.dropped_leaves();
-    let (surv_array, surv_tree, eff_faults, discarded) = survive(array, tree, faults)?;
+impl Replan<'_> {
+    /// The one replan path: re-plans `plan` for `faults` and returns the
+    /// outcome with the adopted plan's simulation report. `nominal` is
+    /// `plan`'s healthy step time when the caller knows it (otherwise
+    /// one simulation measures it), and `with_sensitivity` asks for the
+    /// per-fault sweep. Reports to the knobs' observability handle.
+    pub(crate) fn run(
+        &self,
+        plan: &PlanTree,
+        faults: &FaultModel,
+        nominal: Option<f64>,
+        with_sensitivity: bool,
+    ) -> Result<(ReplanOutcome, SimReport), PlanError> {
+        let Replan { knobs, view, tree, .. } = *self;
+        let obs = &knobs.obs;
+        let span = obs.span(
+            "replan",
+            &[
+                ("faults", faults.faults().len().into()),
+                ("sensitivity", with_sensitivity.into()),
+            ],
+        );
+        let sim = knobs.simulator();
+        let nominal_secs = match nominal {
+            Some(secs) => secs,
+            None => sim.simulate(view, plan, tree, None)?.total_secs,
+        };
 
-    let degraded_old_secs = if dropped.is_empty() {
-        Some(
-            sim.simulate(view, plan, &surv_tree, Some(&eff_faults))?
-                .total_secs,
-        )
-    } else {
-        None
-    };
+        // Survive dropout: remove dropped boards and carry the remaining
+        // faults over to the rebuilt tree.
+        let dropped = faults.dropped_leaves();
+        let (surv_array, surv_tree, eff_faults, discarded) = survive(self.array, tree, faults)?;
 
-    // Re-run the layer-wise DP against the degraded capabilities.
-    let degraded_tree = surv_tree.degraded(&eff_faults).map_err(PlanError::Hw)?;
-    let model = CostModel::new(config.cost_config);
-    let mut search = SearchConfig::accpar_with(config.solver);
-    search.collapse = config.iso;
-    let (candidate, report) = plan_node_budgeted(
-        view,
-        degraded_tree.root(),
-        &model,
-        &search,
-        None,
-        pool,
-        cache,
-        &Obs::off(),
-        None,
-        &config.budget,
-    )?;
-    let candidate = candidate.ok_or_else(|| {
-        PlanError::ReplanInfeasible(
-            "the surviving array cannot be bisected into a hierarchy".into(),
-        )
-    })?;
-    let candidate_secs = sim
-        .simulate(view, &candidate, &surv_tree, Some(&eff_faults))?
-        .total_secs;
+        let stale = if dropped.is_empty() {
+            Some(sim.simulate(view, plan, &surv_tree, Some(&eff_faults))?)
+        } else {
+            None
+        };
+        let degraded_old_secs = stale.as_ref().map(|r| r.total_secs);
 
-    // Never-worse guarantee: keep the stale plan unless the fresh search
-    // actually beats it on the degraded hardware.
-    let (adopted, degraded_secs) = match degraded_old_secs {
-        Some(old) if old <= candidate_secs => (plan.clone(), old),
-        _ => (candidate, candidate_secs),
-    };
-    let replanned = adopted != *plan;
-    let deltas = diff_plans(plan, &adopted);
+        // Re-run the layer-wise DP against the degraded capabilities.
+        let degraded_tree = surv_tree.degraded(&eff_faults).map_err(PlanError::Hw)?;
+        let (candidate, report) = knobs.search(
+            view,
+            degraded_tree.root(),
+            self.pool,
+            self.memo,
+            &self.budget,
+            span.id(),
+        )?;
+        let candidate = candidate.ok_or_else(|| {
+            PlanError::ReplanInfeasible(
+                "the surviving array cannot be bisected into a hierarchy".into(),
+            )
+        })?;
+        let fresh = sim.simulate(view, &candidate, &surv_tree, Some(&eff_faults))?;
 
-    let sensitivity = if with_sensitivity {
-        // Each fault's solo impact is independent of the others: sweep
-        // them with the pool. `par_map` keeps fault order, and every
-        // nested dropout replan runs serially inside its worker.
-        pool.par_map(faults.faults(), |_, fault| -> Result<FaultImpact, PlanError> {
-            let solo = FaultModel::with_seed(faults.seed()).push(*fault)?;
-            let secs = match fault.kind {
-                FaultKind::Dropout => {
-                    replan_inner(
-                        view,
-                        array,
-                        tree,
-                        plan,
-                        &solo,
-                        config,
-                        false,
-                        Pool::serial(),
-                        cache,
-                    )?
-                    .degraded_secs
-                }
-                _ => {
-                    sim.simulate(view, plan, tree, Some(&solo))?
-                        .total_secs
-                }
+        // Never-worse guarantee: keep the stale plan unless the fresh search
+        // actually beats it on the degraded hardware.
+        let (adopted, adopted_report) = match stale {
+            Some(old) if old.total_secs <= fresh.total_secs => (plan.clone(), old),
+            _ => (candidate, fresh),
+        };
+        let degraded_secs = adopted_report.total_secs;
+        let replanned = adopted != *plan;
+        let deltas = diff_plans(plan, &adopted);
+
+        let sensitivity = if with_sensitivity {
+            // Each fault's solo impact is independent of the others: sweep
+            // them with the pool. `par_map` keeps fault order, and every
+            // nested dropout replan runs serially inside its worker, off
+            // the record.
+            let quiet = Knobs {
+                obs: Obs::off(),
+                ..knobs.clone()
             };
-            let slowdown = if nominal_secs > 0.0 {
-                secs / nominal_secs
-            } else {
-                1.0
+            let solo_replan = Replan {
+                knobs: &quiet,
+                pool: Pool::serial(),
+                ..self.clone()
             };
-            Ok(FaultImpact {
-                fault: *fault,
-                slowdown,
-            })
-        })
-        .into_iter()
-        .collect::<Result<Vec<_>, _>>()?
-    } else {
-        Vec::new()
-    };
+            self.pool
+                .par_map(faults.faults(), |_, fault| -> Result<FaultImpact, PlanError> {
+                    let solo = FaultModel::with_seed(faults.seed()).push(*fault)?;
+                    let secs = match fault.kind {
+                        FaultKind::Dropout => {
+                            solo_replan
+                                .run(plan, &solo, Some(nominal_secs), false)?
+                                .0
+                                .degraded_secs
+                        }
+                        _ => sim.simulate(view, plan, tree, Some(&solo))?.total_secs,
+                    };
+                    let slowdown = if nominal_secs > 0.0 {
+                        secs / nominal_secs
+                    } else {
+                        1.0
+                    };
+                    Ok(FaultImpact {
+                        fault: *fault,
+                        slowdown,
+                    })
+                })
+                .into_iter()
+                .collect::<Result<Vec<_>, _>>()?
+        } else {
+            Vec::new()
+        };
 
-    Ok(ReplanOutcome {
-        plan: adopted,
-        replanned,
-        array: surv_array,
-        tree: surv_tree,
-        faults: eff_faults,
-        discarded,
-        nominal_secs,
-        degraded_old_secs,
-        degraded_secs,
-        complete: report.is_complete(),
-        deltas,
-        sensitivity,
-    })
+        let outcome = ReplanOutcome {
+            plan: adopted,
+            replanned,
+            array: surv_array,
+            tree: surv_tree,
+            faults: eff_faults,
+            discarded,
+            nominal_secs,
+            degraded_old_secs,
+            degraded_secs,
+            complete: report.is_complete(),
+            deltas,
+            sensitivity,
+        };
+        if obs.enabled() {
+            obs.counter("replan.runs").inc();
+            if outcome.replanned {
+                obs.counter("replan.adopted").inc();
+            }
+            obs.counter("replan.deltas").add(outcome.deltas.len() as u64);
+            obs.counter("replan.discarded_faults")
+                .add(outcome.discarded.len() as u64);
+            obs.gauge("replan.degradation").set(outcome.degradation());
+            span.event(
+                "replan.outcome",
+                &[
+                    ("replanned", outcome.replanned.into()),
+                    ("deltas", outcome.deltas.len().into()),
+                    ("nominal_ms", (outcome.nominal_secs * 1e3).into()),
+                    ("degraded_ms", (outcome.degraded_secs * 1e3).into()),
+                    (
+                        "speedup",
+                        outcome.speedup().unwrap_or(f64::NAN).into(),
+                    ),
+                ],
+            );
+        }
+        Ok((outcome, adopted_report))
+    }
 }
 
 /// Folds dropout out of a fault model: removes the dropped boards from
@@ -524,27 +514,25 @@ mod tests {
     use accpar_dnn::zoo;
     use accpar_hw::HwError;
 
-    fn setup(
+    /// LeNet planned on hetero `v2`+`v3` at depth `levels`, then
+    /// replanned against `faults` by the same planner; returns the
+    /// healthy plan beside the outcome.
+    fn replanned(
         v2: usize,
         v3: usize,
         levels: usize,
-    ) -> (TrainView, AcceleratorArray, GroupTree, PlanTree) {
+        faults: &FaultModel,
+    ) -> Result<(PlanTree, ReplanOutcome), PlanError> {
         let net = zoo::lenet(256).unwrap();
-        let view = net.train_view().unwrap();
         let array = AcceleratorArray::heterogeneous_tpu(v2, v3);
-        let tree = GroupTree::bisect(&array, levels).unwrap();
-        let plan = Planner::builder(&net, &array)
-            .levels(levels).build().unwrap()
-            .plan(Strategy::AccPar)
-            .unwrap()
-            .plan()
-            .clone();
-        (view, array, tree, plan)
+        let planner = Planner::builder(&net, &array).levels(levels).build()?;
+        let planned = planner.plan(Strategy::AccPar)?;
+        let outcome = planner.replan(&planned, faults)?;
+        Ok((planned.plan().clone(), outcome))
     }
 
     #[test]
     fn replan_never_worse_under_straggler_and_link_faults() {
-        let (view, array, tree, plan) = setup(2, 2, 2);
         // The acceptance scenario: one TPU-v2 leaf at half compute, one
         // cut at quarter bandwidth.
         let faults = FaultModel::with_seed(7)
@@ -552,8 +540,7 @@ mod tests {
             .unwrap()
             .degrade_cut(1, 0.25)
             .unwrap();
-        let outcome = replan(&view, &array, &tree, &plan, &faults, &ReplanConfig::default())
-            .unwrap();
+        let (_, outcome) = replanned(2, 2, 2, &faults).unwrap();
         let old = outcome.degraded_old_secs.unwrap();
         assert!(
             outcome.degraded_secs <= old * (1.0 + 1e-12),
@@ -571,23 +558,13 @@ mod tests {
         }
         assert_eq!(outcome.replanned, !outcome.deltas.is_empty());
         // Determinism: the whole pipeline is seeded and analytic.
-        let again = replan(&view, &array, &tree, &plan, &faults, &ReplanConfig::default())
-            .unwrap();
+        let (_, again) = replanned(2, 2, 2, &faults).unwrap();
         assert_eq!(outcome, again);
     }
 
     #[test]
     fn replan_with_no_faults_keeps_the_plan() {
-        let (view, array, tree, plan) = setup(1, 1, 1);
-        let outcome = replan(
-            &view,
-            &array,
-            &tree,
-            &plan,
-            &FaultModel::new(),
-            &ReplanConfig::default(),
-        )
-        .unwrap();
+        let (plan, outcome) = replanned(1, 1, 1, &FaultModel::new()).unwrap();
         assert!(!outcome.replanned);
         assert_eq!(outcome.plan, plan);
         assert!(outcome.deltas.is_empty());
@@ -602,21 +579,14 @@ mod tests {
         // links, 1 TFLOPS boards) so the slowdown actually bites.
         use accpar_hw::AcceleratorSpec;
         let net = zoo::lenet(256).unwrap();
-        let view = net.train_view().unwrap();
         let spec = AcceleratorSpec::new("cb", 1e12, 1 << 34, 100e9, 1e12, 8, 1e12).unwrap();
         let array = AcceleratorArray::homogeneous(spec, 2);
-        let tree = GroupTree::bisect(&array, 1).unwrap();
-        let plan = Planner::builder(&net, &array)
-            .levels(1).build().unwrap()
-            .plan(Strategy::AccPar)
-            .unwrap()
-            .plan()
-            .clone();
+        let planner = Planner::builder(&net, &array).levels(1).build().unwrap();
+        let planned = planner.plan(Strategy::AccPar).unwrap();
         // One board collapses to 10% of its compute: the balanced split
         // is now badly wrong and the replanner must move work over.
         let faults = FaultModel::new().slow_leaf(1, 0.1).unwrap();
-        let outcome = replan(&view, &array, &tree, &plan, &faults, &ReplanConfig::default())
-            .unwrap();
+        let outcome = planner.replan(&planned, &faults).unwrap();
         assert!(outcome.replanned, "expected a new plan");
         assert!(!outcome.deltas.is_empty());
         assert!(outcome.speedup().unwrap() > 1.0);
@@ -624,15 +594,13 @@ mod tests {
 
     #[test]
     fn dropout_replans_on_the_reduced_array() {
-        let (view, array, tree, plan) = setup(2, 2, 2);
         let faults = FaultModel::new()
             .drop_leaf(3)
             .slow_leaf(0, 0.5)
             .unwrap()
             .degrade_cut(0, 0.5)
             .unwrap();
-        let outcome = replan(&view, &array, &tree, &plan, &faults, &ReplanConfig::default())
-            .unwrap();
+        let (_, outcome) = replanned(2, 2, 2, &faults).unwrap();
         assert!(outcome.replanned);
         assert_eq!(outcome.degraded_old_secs, None);
         assert_eq!(outcome.array.len(), 3);
@@ -643,7 +611,9 @@ mod tests {
         assert!(outcome.degraded_secs > 0.0);
         assert!(outcome.to_string().contains("dropout"));
         // The adopted plan actually runs on the surviving hardware.
-        let report = Simulator::new(ReplanConfig::default().sim_config)
+        let view = zoo::lenet(256).unwrap().train_view().unwrap();
+        let report = Knobs::default()
+            .simulator()
             .simulate(&view, &outcome.plan, &outcome.tree, Some(&outcome.faults))
             .unwrap();
         assert!((report.total_secs - outcome.degraded_secs).abs() < 1e-15);
@@ -651,23 +621,19 @@ mod tests {
 
     #[test]
     fn dropping_every_leaf_is_infeasible() {
-        let (view, array, tree, plan) = setup(1, 1, 1);
         let faults = FaultModel::new().drop_leaf(0).drop_leaf(1);
-        let err = replan(&view, &array, &tree, &plan, &faults, &ReplanConfig::default())
-            .unwrap_err();
+        let err = replanned(1, 1, 1, &faults).unwrap_err();
         assert_eq!(err, PlanError::Hw(HwError::EmptyArray));
     }
 
     #[test]
     fn sensitivity_ranks_the_heavier_fault_higher() {
-        let (view, array, tree, plan) = setup(1, 1, 1);
         let faults = FaultModel::new()
             .slow_leaf(0, 0.9)
             .unwrap()
             .slow_leaf(1, 0.3)
             .unwrap();
-        let outcome = replan(&view, &array, &tree, &plan, &faults, &ReplanConfig::default())
-            .unwrap();
+        let (_, outcome) = replanned(1, 1, 1, &faults).unwrap();
         assert_eq!(outcome.sensitivity.len(), 2);
         // Slowing the (more loaded) v3 board to 30% must hurt more than
         // shaving 10% off the v2 board.
@@ -676,13 +642,22 @@ mod tests {
 
     #[test]
     fn sensitivity_can_be_disabled() {
-        let (view, array, tree, plan) = setup(1, 1, 1);
+        let net = zoo::lenet(256).unwrap();
+        let array = AcceleratorArray::heterogeneous_tpu(1, 1);
+        let tree = GroupTree::bisect(&array, 1).unwrap();
+        let planned = Planner::builder(&net, &array)
+            .levels(1)
+            .build()
+            .unwrap()
+            .plan(Strategy::AccPar)
+            .unwrap();
         let faults = FaultModel::new().slow_leaf(0, 0.5).unwrap();
         let config = ReplanConfig {
             sensitivity: false,
             ..ReplanConfig::default()
         };
-        let outcome = replan(&view, &array, &tree, &plan, &faults, &config).unwrap();
+        let view = net.train_view().unwrap();
+        let outcome = replan(&view, &array, &tree, planned.plan(), &faults, &config).unwrap();
         assert!(outcome.sensitivity.is_empty());
     }
 }

@@ -268,9 +268,9 @@ pub fn plan_many(
                         PlanRequest {
                             threads: Some(1),
                             plan_cache: config.cache.clone(),
-                            obs: config.obs.clone(),
                             ..request.clone()
                         }
+                        .obs(config.obs.clone())
                         .build()?
                         .plan_outcome(request.strategy)
                     })) {

@@ -1,7 +1,11 @@
 //! Live replanning: a supervisor that owns the serving plan for one
 //! model and reacts to a stream of hardware health events.
 //!
-//! A [`Supervisor`] plans a network once against healthy hardware, then
+//! A [`Supervisor`] is a client of one [`PlanRequest`](crate::PlanRequest):
+//! [`Planner::supervise`] takes the request's training view, bisected
+//! tree, search memo, cost model, solver, simulator configuration,
+//! isomorphism switch, observability handle, thread budget and
+//! [`Budget`], and serves the request's own healthy AccPar plan. It then
 //! consumes [`HealthEvent`]s ([`observe`](Supervisor::observe)) —
 //! degradations, failures, recoveries, bandwidth jitter — folding each
 //! into a running [`FaultModel`] with set semantics (the latest event
@@ -23,20 +27,22 @@
 //!    without running the simulator, so steady-state jitter costs
 //!    microseconds; only bound misses pay for an exact simulation.
 //! 2. **Replan** — warm-start the never-worse
-//!    [`replan`](crate::replan::replan) machinery from the *healthy
-//!    baseline plan* through a persistent [`SearchCache`], bounded by
-//!    [`replan_nodes`](SuperviseConfig::replan_nodes) /
-//!    [`replan_deadline`](SuperviseConfig::replan_deadline) (a budget
-//!    stop yields a feasible partial plan, not an error). For batches
+//!    [`replan`](mod@crate::replan) path from the *healthy baseline
+//!    plan* through the request's persistent [`SearchCache`], each
+//!    attempt under a [`fresh`](Budget::fresh) copy of the request's
+//!    budget (a budget stop yields a feasible partial plan, not an
+//!    error). For batches
 //!    that can only *improve* health, the fresh plan is **promoted**
 //!    only when it beats the incumbent by
 //!    [`promote_margin`](SuperviseConfig::promote_margin) — the
 //!    asymmetry between the hold band and the promote margin is the
 //!    hysteresis that keeps borderline hardware from flapping the plan.
-//! 3. **Fallback** — if the search itself fails (after
-//!    [`retry`](SuperviseConfig::retry) attempts with deterministic
-//!    backoff, panics included), serve the incumbent if it still runs;
-//!    otherwise serve a pure data-parallel plan on the surviving array.
+//! 3. **Fallback** — if the replan fails, serve the incumbent if it
+//!    still runs; otherwise serve a pure data-parallel plan on the
+//!    surviving array. A returned error fails at once (the replan is a
+//!    pure function of its inputs); only a caught panic is retried, up
+//!    to [`retry`](SuperviseConfig::retry) times with deterministic
+//!    backoff.
 //! 4. **Shed** — only when even data parallelism is infeasible (every
 //!    board dropped) does the supervisor stop serving; a later
 //!    `Recover` brings it back.
@@ -56,13 +62,15 @@
 //! # Example
 //!
 //! ```
-//! use accpar_core::supervise::{Supervisor, SuperviseConfig};
+//! use accpar_core::{Planner, SuperviseConfig};
 //! use accpar_dnn::zoo;
 //! use accpar_hw::{AcceleratorArray, HealthSchedule};
 //!
 //! let network = zoo::lenet(64)?;
 //! let array = AcceleratorArray::heterogeneous_tpu(2, 2);
-//! let mut sup = Supervisor::new(&network, &array, None, SuperviseConfig::default())?;
+//! let mut sup = Planner::builder(&network, &array)
+//!     .build()?
+//!     .supervise(SuperviseConfig::default())?;
 //! let schedule = HealthSchedule::random(7, sup.leaf_count(), sup.cut_count(), 12)?;
 //! let report = sup.run(&schedule)?;
 //! assert!(sup.plan().is_some());
@@ -72,25 +80,25 @@
 
 use crate::baselines::data_parallel_plan;
 use crate::error::PlanError;
-use crate::hierarchy::plan_node_budgeted;
 use crate::memo::SearchCache;
-use crate::planner::default_levels;
-use crate::replan::{replan_with, survive, ReplanConfig, ReplanOutcome};
-use crate::search::SearchConfig;
+use crate::planner::{Knobs, Planner, Strategy};
+use crate::replan::{survive, Replan, ReplanOutcome};
 use crate::serve::payload_message;
-use accpar_cost::{CostConfig, CostModel, RatioSolver};
 use accpar_dnn::{Network, TrainView};
 use accpar_hw::{AcceleratorArray, FaultModel, GroupTree, HealthEvent, HealthSchedule};
 use accpar_obs::Obs;
 use accpar_partition::PlanTree;
 use accpar_runtime::{Budget, Pool, RetryPolicy};
-use accpar_sim::{SimConfig, Simulator};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-/// Configuration of a [`Supervisor`].
+/// The degradation ladder of a [`Supervisor`]. Every planning knob —
+/// cost model, solver, simulator, threads, observability, and the
+/// budget of each replan — comes from the supervised
+/// [`PlanRequest`](crate::PlanRequest).
 #[derive(Debug, Clone)]
 pub struct SuperviseConfig {
     /// Hold band: keep serving the incumbent while it simulates within
@@ -105,31 +113,15 @@ pub struct SuperviseConfig {
     /// Debounce window in schedule-time units: events closer together
     /// than this batch into one decision (default 0.05). Must be ≥ 0.
     pub debounce: f64,
-    /// Node cap for each replan's search (default: none). A budget stop
-    /// is not a failure — stopped levels fall back to data parallelism
-    /// and the never-worse gate still applies.
-    pub replan_nodes: Option<u64>,
-    /// Wall-clock deadline for each replan's search (default: none).
-    /// Note that deadline stops are timing-dependent; leave this off
-    /// where bit-reproducibility across machines matters.
-    pub replan_deadline: Option<Duration>,
-    /// Retry policy for supervisor-internal replan failures, panics
-    /// included (default: two retries with deterministic backoff).
+    /// Retry policy for a replan that panics (default: two retries
+    /// with deterministic backoff). A replan that returns an error is
+    /// not retried: it would fail the same way again.
     pub retry: RetryPolicy,
-    /// Cost-model configuration for every search.
-    pub cost_config: CostConfig,
-    /// Ratio solver for every search.
-    pub solver: RatioSolver,
-    /// Simulator configuration for every cost comparison.
-    pub sim_config: SimConfig,
-    /// Thread budget for searches (`None`: the environment default).
-    /// Decisions are thread-count-independent.
+    /// Thread budget of the request [`Supervisor::new`] builds (`None`:
+    /// the environment default). Decisions are
+    /// thread-count-independent. [`Planner::supervise`] takes the
+    /// planner's own thread budget and rejects a value here.
     pub threads: Option<usize>,
-    /// Observability handle (`health.*` / `supervise.*` vocabulary);
-    /// inert by default and never part of a decision.
-    pub obs: Obs,
-    /// Isomorphism collapse in the searches (default: enabled).
-    pub iso: bool,
 }
 
 impl Default for SuperviseConfig {
@@ -138,15 +130,8 @@ impl Default for SuperviseConfig {
             tolerance: 1.25,
             promote_margin: 0.02,
             debounce: 0.05,
-            replan_nodes: None,
-            replan_deadline: None,
             retry: RetryPolicy::default(),
-            cost_config: CostConfig::default(),
-            solver: RatioSolver::default(),
-            sim_config: SimConfig::cost_model_aligned(),
             threads: None,
-            obs: Obs::off(),
-            iso: true,
         }
     }
 }
@@ -307,11 +292,18 @@ impl fmt::Display for SuperviseReport {
 /// See the [module docs](self) for the ladder and its invariants.
 #[derive(Debug)]
 pub struct Supervisor {
+    knobs: Knobs,
     view: TrainView,
     array: AcceleratorArray,
     tree: GroupTree,
+    /// The request's search memo (`None` with caching off), warm across
+    /// decisions.
+    memo: Option<Arc<SearchCache>>,
+    pool: Pool,
+    /// The request's budget; each replan attempt runs under a fresh
+    /// copy.
+    budget: Budget,
     config: SuperviseConfig,
-    cache: SearchCache,
     /// The plan built against healthy hardware: every replan
     /// warm-starts from it, never from the evolved incumbent, so the
     /// supervisor's trajectory is a pure function of the fault set.
@@ -338,56 +330,45 @@ pub struct Supervisor {
     retries: usize,
 }
 
-impl Supervisor {
-    /// Plans `network` on healthy `array` hardware and starts serving.
-    ///
-    /// `levels` is the hierarchy depth (`None`: bisect to single
-    /// boards, matching [`Planner`](crate::Planner)'s default).
+impl Planner<'_> {
+    /// Starts a [`Supervisor`] for this request: it serves the
+    /// request's healthy AccPar plan ([`Planner::plan_outcome`]) and
+    /// replans under the request's knobs as health events arrive (see
+    /// the [module docs](self)).
     ///
     /// # Errors
     ///
-    /// Returns [`PlanError::Config`] for invalid thresholds (see
-    /// [`SuperviseConfig::validate`]) and propagates planning,
-    /// hardware, and simulation errors from the initial healthy plan.
-    pub fn new(
-        network: &Network,
-        array: &AcceleratorArray,
-        levels: Option<usize>,
-        config: SuperviseConfig,
-    ) -> Result<Self, PlanError> {
+    /// [`PlanError::Config`] for invalid thresholds (see
+    /// [`SuperviseConfig::validate`]), for a set
+    /// [`SuperviseConfig::threads`] (the request's thread budget
+    /// applies), and when the request carries faults (a supervisor
+    /// learns of faults through health events); otherwise the errors of
+    /// the healthy plan.
+    pub fn supervise(&self, config: SuperviseConfig) -> Result<Supervisor, PlanError> {
         config.validate()?;
-        let view = network.train_view()?;
-        let levels = levels.unwrap_or_else(|| default_levels(array));
-        let tree = GroupTree::bisect(array, levels)?;
-        let cache = SearchCache::new();
-        let pool = config.threads.map_or_else(Pool::from_env, Pool::new);
-        let model = CostModel::new(config.cost_config);
-        let mut search = SearchConfig::accpar_with(config.solver);
-        search.collapse = config.iso;
-        let (healthy, _) = plan_node_budgeted(
-            &view,
-            tree.root(),
-            &model,
-            &search,
-            None,
-            pool,
-            Some(&cache),
-            &Obs::off(),
-            None,
-            &Budget::unlimited(),
-        )?;
-        let healthy = healthy.ok_or_else(|| {
-            PlanError::Config("the array cannot host a hierarchical plan".into())
-        })?;
-        let nominal_secs = Simulator::new(config.sim_config)
-            .simulate(&view, &healthy, &tree, None)?
-            .total_secs;
-        Ok(Self {
-            view,
-            array: array.clone(),
-            tree,
+        if config.threads.is_some() {
+            return Err(PlanError::Config(
+                "SuperviseConfig::threads configures Supervisor::new; set threads on the request"
+                    .into(),
+            ));
+        }
+        if self.request.faults.is_some() {
+            return Err(PlanError::Config(
+                "a supervisor starts on healthy hardware; the request carries faults".into(),
+            ));
+        }
+        let healthy = self.plan_outcome(Strategy::AccPar)?.into_planned();
+        let nominal_secs = healthy.modeled_cost();
+        let healthy = healthy.plan().clone();
+        Ok(Supervisor {
+            knobs: self.request.knobs.clone(),
+            view: self.view.clone(),
+            array: self.request.array.clone(),
+            tree: self.tree.clone(),
+            memo: self.request.caching.then(|| Arc::clone(&self.memo)),
+            pool: Pool::new(self.threads()),
+            budget: self.request.budget.clone(),
             config,
-            cache,
             plan: Some(healthy.clone()),
             serving_secs: Some(nominal_secs),
             incumbent_healthy_secs: Some(nominal_secs),
@@ -400,6 +381,35 @@ impl Supervisor {
             events_seen: 0,
             replans: 0,
             retries: 0,
+        })
+    }
+}
+
+impl Supervisor {
+    /// [`Planner::supervise`] over a default request with the given
+    /// hierarchy depth (`None`: bisect to single boards) and
+    /// [`SuperviseConfig::threads`].
+    ///
+    /// # Errors
+    ///
+    /// See [`PlanRequest::build`](crate::PlanRequest::build) and
+    /// [`Planner::supervise`].
+    pub fn new(
+        network: &Network,
+        array: &AcceleratorArray,
+        levels: Option<usize>,
+        config: SuperviseConfig,
+    ) -> Result<Self, PlanError> {
+        let mut request = Planner::builder(network, array);
+        if let Some(levels) = levels {
+            request = request.levels(levels);
+        }
+        if let Some(threads) = config.threads {
+            request = request.threads(threads);
+        }
+        request.build()?.supervise(SuperviseConfig {
+            threads: None,
+            ..config
         })
     }
 
@@ -478,7 +488,7 @@ impl Supervisor {
             return Ok(());
         }
         let started = Instant::now();
-        let obs = self.config.obs.clone();
+        let obs = self.knobs.obs.clone();
         let at = batch
             .last()
             .map_or_else(|| self.decisions.last().map_or(0.0, |d| d.at), |e| e.at);
@@ -507,28 +517,14 @@ impl Supervisor {
             obs.counter("supervise.debounced").add(batch.len() as u64 - 1);
         }
 
-        let sim = Simulator::new(self.config.sim_config);
+        let sim = self.knobs.simulator();
+        let dropped = self.faults.dropped_leaves();
         // Surviving topology under the current fault set. If nothing
         // survives, the only rung left is shedding.
         let survived = survive(&self.array, &self.tree, &self.faults);
-        let decision = match survived {
-            Err(_) => {
-                self.plan = None;
-                self.serving_secs = None;
-                self.incumbent_healthy_secs = None;
-                self.plan_dropped = self.faults.dropped_leaves();
-                Decision {
-                    at,
-                    events: batch.len(),
-                    action: SuperviseAction::Shed,
-                    replanned: false,
-                    serving_secs: None,
-                    stale_secs: None,
-                    degradation: f64::INFINITY,
-                }
-            }
+        let (action, replanned, serving_secs, stale_secs) = match survived {
+            Err(_) => (SuperviseAction::Shed, false, None, None),
             Ok((_, surv_tree, eff_faults, _)) => {
-                let dropped = self.faults.dropped_leaves();
                 let shape_ok = self.plan.is_some() && dropped == self.plan_dropped;
                 // Fast hold: a purely multiplicative fault set bounds
                 // the incumbent's step time at `healthy / worst`
@@ -566,21 +562,12 @@ impl Supervisor {
                     && !recovery_only
                     && incumbent_secs
                         .is_some_and(|secs| secs <= self.config.tolerance * self.nominal_secs);
-                if hold {
-                    let secs = incumbent_secs.unwrap_or(self.nominal_secs);
-                    self.serving_secs = Some(secs);
-                    Decision {
-                        at,
-                        events: batch.len(),
-                        action: SuperviseAction::Hold,
-                        replanned: false,
-                        serving_secs: Some(secs),
-                        stale_secs: None,
-                        degradation: self.degradation_of(secs),
-                    }
+                // (rung, searched, serving time, stale time, plan to install)
+                let (action, replanned, secs, stale, install) = if hold {
+                    (SuperviseAction::Hold, false, incumbent_secs, None, None)
                 } else {
                     // Rung 2: budget-capped never-worse replan from the
-                    // healthy baseline, with retry-with-backoff.
+                    // healthy baseline; a panic is retried with backoff.
                     match self.attempt_replan(&obs) {
                         Ok(outcome) => {
                             self.replans += 1;
@@ -617,85 +604,65 @@ impl Supervisor {
                                     _ => (SuperviseAction::Adopt, cand_secs, Some(outcome.plan)),
                                 }
                             };
-                            if let Some(plan) = plan {
-                                self.incumbent_healthy_secs = sim
-                                    .simulate(&self.view, &plan, &surv_tree, None)
-                                    .ok()
-                                    .map(|r| r.total_secs);
-                                self.plan = Some(plan);
-                                self.plan_dropped = dropped;
-                            }
-                            self.serving_secs = Some(secs);
-                            Decision {
-                                at,
-                                events: batch.len(),
-                                action,
-                                replanned: true,
-                                serving_secs: Some(secs),
-                                stale_secs: outcome.degraded_old_secs,
-                                degradation: self.degradation_of(secs),
-                            }
+                            (action, true, Some(secs), outcome.degraded_old_secs, plan)
                         }
-                        // Rung 3: the search is out of retries. Serve
-                        // the incumbent if it still runs, else data
-                        // parallelism on whatever survived.
-                        Err(_) => {
-                            let (secs, plan) = match incumbent_secs {
-                                Some(inc) => (Some(inc), None),
-                                None => {
-                                    let dp = data_parallel_plan(
-                                        &self.view,
-                                        surv_tree.root().depth().max(1),
-                                    );
-                                    let secs = sim
-                                        .simulate(&self.view, &dp, &surv_tree, Some(&eff_faults))
-                                        .ok()
-                                        .map(|r| r.total_secs);
-                                    (secs, Some(dp))
-                                }
-                            };
-                            match secs {
-                                Some(secs) => {
-                                    if let Some(plan) = plan {
-                                        self.incumbent_healthy_secs = sim
-                                            .simulate(&self.view, &plan, &surv_tree, None)
-                                            .ok()
-                                            .map(|r| r.total_secs);
-                                        self.plan = Some(plan);
-                                        self.plan_dropped = dropped;
-                                    }
-                                    self.serving_secs = Some(secs);
-                                    Decision {
-                                        at,
-                                        events: batch.len(),
-                                        action: SuperviseAction::Fallback,
-                                        replanned: false,
-                                        serving_secs: Some(secs),
-                                        stale_secs: None,
-                                        degradation: self.degradation_of(secs),
-                                    }
-                                }
-                                // Rung 4: nothing servable at all.
-                                None => {
-                                    self.plan = None;
-                                    self.serving_secs = None;
-                                    self.incumbent_healthy_secs = None;
-                                    self.plan_dropped = dropped;
-                                    Decision {
-                                        at,
-                                        events: batch.len(),
-                                        action: SuperviseAction::Shed,
-                                        replanned: false,
-                                        serving_secs: None,
-                                        stale_secs: None,
-                                        degradation: f64::INFINITY,
-                                    }
+                        // Rung 3: the replan failed. Serve the incumbent
+                        // if it still runs, else data parallelism on
+                        // whatever survived; rung 4 when not even that
+                        // runs.
+                        Err(_) => match incumbent_secs {
+                            Some(inc) => (SuperviseAction::Fallback, false, Some(inc), None, None),
+                            None => {
+                                let dp = data_parallel_plan(
+                                    &self.view,
+                                    surv_tree.root().depth().max(1),
+                                );
+                                match sim.simulate(&self.view, &dp, &surv_tree, Some(&eff_faults)) {
+                                    Ok(r) => (
+                                        SuperviseAction::Fallback,
+                                        false,
+                                        Some(r.total_secs),
+                                        None,
+                                        Some(dp),
+                                    ),
+                                    Err(_) => (SuperviseAction::Shed, false, None, None, None),
                                 }
                             }
-                        }
+                        },
                     }
+                };
+                if let Some(plan) = install {
+                    self.incumbent_healthy_secs = sim
+                        .simulate(&self.view, &plan, &surv_tree, None)
+                        .ok()
+                        .map(|r| r.total_secs);
+                    self.plan = Some(plan);
+                    self.plan_dropped = dropped.clone();
                 }
+                (action, replanned, secs, stale)
             }
+        };
+        if serving_secs.is_none() {
+            // Shed: nothing serves until a later decision installs a plan.
+            self.plan = None;
+            self.incumbent_healthy_secs = None;
+            self.plan_dropped = dropped;
+        }
+        self.serving_secs = serving_secs;
+        let decision = Decision {
+            at,
+            events: batch.len(),
+            action,
+            replanned,
+            serving_secs,
+            stale_secs,
+            degradation: serving_secs.map_or(f64::INFINITY, |secs| {
+                if self.nominal_secs > 0.0 {
+                    secs / self.nominal_secs
+                } else {
+                    1.0
+                }
+            }),
         };
 
         if obs.enabled() {
@@ -728,70 +695,45 @@ impl Supervisor {
         Ok(())
     }
 
-    /// Runs the never-worse replan from the healthy baseline with
-    /// panic isolation and deterministic retry-with-backoff. A budget
-    /// stop inside the search is *not* a failure (it yields a feasible
-    /// partial plan); only errors and panics consume retries.
+    /// Runs the never-worse replan from the healthy baseline, with the
+    /// known nominal step time and under a fresh copy of the request's
+    /// budget per attempt. A budget stop inside the search is *not* a
+    /// failure (it yields a feasible partial plan), and a returned
+    /// error fails at once; only a caught panic is retried, after the
+    /// policy's deterministic backoff.
     fn attempt_replan(&mut self, obs: &Obs) -> Result<ReplanOutcome, PlanError> {
         let retry = self.config.retry;
-        let mut last = PlanError::Config("replan never attempted".into());
-        for attempt in 0..=retry.attempts {
-            if attempt > 0 {
-                self.retries += 1;
-                if obs.enabled() {
-                    obs.counter("supervise.retries").inc();
-                }
-                thread::sleep(retry.backoff(0, attempt));
-            }
-            // A fresh budget per attempt: budget clones share their
-            // counters, so reusing one would starve later replans.
-            let mut budget = Budget::unlimited();
-            if let Some(cap) = self.config.replan_nodes {
-                budget = budget.max_nodes(cap);
-            }
-            if let Some(deadline) = self.config.replan_deadline {
-                budget = budget.deadline(deadline);
-            }
-            let config = ReplanConfig {
-                cost_config: self.config.cost_config,
-                solver: self.config.solver,
-                sim_config: self.config.sim_config,
-                sensitivity: false,
-                threads: self.config.threads,
-                obs: Obs::off(),
-                iso: self.config.iso,
-                budget,
+        let mut attempt = 0;
+        loop {
+            let replan = Replan {
+                knobs: &self.knobs,
+                view: &self.view,
+                array: &self.array,
+                tree: &self.tree,
+                memo: self.memo.as_deref(),
+                pool: self.pool,
+                budget: self.budget.fresh(),
             };
             let result = catch_unwind(AssertUnwindSafe(|| {
-                replan_with(
-                    &self.view,
-                    &self.array,
-                    &self.tree,
-                    &self.healthy,
-                    &self.faults,
-                    &config,
-                    Some(&self.cache),
-                )
+                replan.run(&self.healthy, &self.faults, Some(self.nominal_secs), false)
             }));
             match result {
-                Ok(Ok(outcome)) => return Ok(outcome),
-                Ok(Err(err)) => last = err,
+                Ok(result) => return result.map(|(outcome, _)| outcome),
+                Err(_) if attempt < retry.attempts => {
+                    attempt += 1;
+                    self.retries += 1;
+                    if obs.enabled() {
+                        obs.counter("supervise.retries").inc();
+                    }
+                    thread::sleep(retry.backoff(0, attempt));
+                }
                 Err(payload) => {
-                    last = PlanError::WorkerPanic {
+                    return Err(PlanError::WorkerPanic {
                         attempts: attempt + 1,
                         message: payload_message(payload.as_ref()),
-                    };
+                    })
                 }
             }
-        }
-        Err(last)
-    }
-
-    fn degradation_of(&self, secs: f64) -> f64 {
-        if self.nominal_secs > 0.0 {
-            secs / self.nominal_secs
-        } else {
-            1.0
         }
     }
 
@@ -899,20 +841,28 @@ impl Supervisor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::replan::{replan, ReplanConfig};
     use accpar_dnn::zoo;
-    use accpar_hw::HealthEventKind;
+    use accpar_hw::{AcceleratorSpec, HealthEventKind};
     use accpar_obs::Collector;
-    use std::sync::Arc;
 
-    fn supervisor(threads: Option<usize>) -> Supervisor {
+    /// A request for `net` on `array` at depth 2, planned on `threads`
+    /// threads.
+    fn request<'a>(
+        net: &'a Network,
+        array: &'a AcceleratorArray,
+        threads: usize,
+    ) -> crate::PlanRequest<'a> {
+        Planner::builder(net, array).levels(2).threads(threads)
+    }
+
+    fn supervisor(threads: usize) -> Supervisor {
         let net = zoo::lenet(64).unwrap();
         let array = AcceleratorArray::heterogeneous_tpu(2, 2);
-        let config = SuperviseConfig {
-            threads,
-            ..SuperviseConfig::default()
-        };
-        Supervisor::new(&net, &array, Some(2), config).unwrap()
+        request(&net, &array, threads)
+            .build()
+            .unwrap()
+            .supervise(SuperviseConfig::default())
+            .unwrap()
     }
 
     #[test]
@@ -950,7 +900,7 @@ mod tests {
 
     #[test]
     fn small_degrade_holds_severe_degrade_replans() {
-        let mut sup = supervisor(Some(1));
+        let mut sup = supervisor(1);
         // A 5% throttle on one leaf sits comfortably inside the band.
         sup.observe(HealthEvent {
             at: 0.0,
@@ -976,7 +926,7 @@ mod tests {
 
     #[test]
     fn mild_degrade_fast_holds_on_the_analytic_bound() {
-        let mut sup = supervisor(Some(1));
+        let mut sup = supervisor(1);
         sup.observe(HealthEvent {
             at: 0.0,
             kind: HealthEventKind::Degrade { leaf: 0, factor: 0.97 },
@@ -998,7 +948,7 @@ mod tests {
 
     #[test]
     fn burst_debounces_into_one_decision() {
-        let mut sup = supervisor(Some(1));
+        let mut sup = supervisor(1);
         for i in 0..5 {
             sup.observe(HealthEvent {
                 at: 0.001 * f64::from(i),
@@ -1017,7 +967,7 @@ mod tests {
 
     #[test]
     fn fail_then_recover_round_trips_to_the_healthy_plan() {
-        let mut sup = supervisor(Some(1));
+        let mut sup = supervisor(1);
         let healthy = sup.healthy_plan().clone();
         sup.observe(HealthEvent {
             at: 0.0,
@@ -1044,7 +994,7 @@ mod tests {
 
     #[test]
     fn terminal_plan_matches_direct_replan() {
-        let mut sup = supervisor(Some(1));
+        let mut sup = supervisor(1);
         let schedule = HealthSchedule::random(21, sup.leaf_count(), sup.cut_count(), 40).unwrap();
         sup.run(&schedule).unwrap();
         let terminal = schedule.fold_all(FaultModel::new()).unwrap();
@@ -1052,36 +1002,25 @@ mod tests {
         // Plan the terminal fault set directly (fresh cache, no
         // supervisor) — the settled plan must be bit-identical.
         let net = zoo::lenet(64).unwrap();
-        let view = net.train_view().unwrap();
         let array = AcceleratorArray::heterogeneous_tpu(2, 2);
-        let tree = GroupTree::bisect(&array, 2).unwrap();
-        let direct = replan(
-            &view,
-            &array,
-            &tree,
-            sup.healthy_plan(),
-            &terminal,
-            &ReplanConfig {
-                sensitivity: false,
-                threads: Some(1),
-                ..ReplanConfig::default()
-            },
-        )
-        .unwrap();
+        let fresh = request(&net, &array, 1).build().unwrap();
+        let healthy = fresh.plan(Strategy::AccPar).unwrap();
+        assert_eq!(healthy.plan(), sup.healthy_plan());
+        let direct = fresh.replan(&healthy, &terminal).unwrap();
         assert_eq!(sup.plan().unwrap(), &direct.plan);
     }
 
     #[test]
     fn determinism_across_runs_and_thread_counts() {
         let schedule = HealthSchedule::random(5, 4, 3, 60).unwrap();
-        let run = |threads: Option<usize>| {
+        let run = |threads: usize| {
             let mut sup = supervisor(threads);
             let report = sup.run(&schedule).unwrap();
             (report, sup.plan().cloned(), sup.faults().clone())
         };
-        let (r1, p1, f1) = run(Some(1));
-        let (r2, p2, f2) = run(Some(1));
-        let (r4, p4, f4) = run(Some(4));
+        let (r1, p1, f1) = run(1);
+        let (r2, p2, f2) = run(1);
+        let (r4, p4, f4) = run(4);
         // Same seed + schedule => identical event log, replan count,
         // and final plan — across runs and thread counts.
         assert_eq!(r1, r2);
@@ -1095,7 +1034,7 @@ mod tests {
 
     #[test]
     fn never_worse_than_the_stale_plan_at_every_decision() {
-        let mut sup = supervisor(Some(1));
+        let mut sup = supervisor(1);
         let schedule = HealthSchedule::random(33, sup.leaf_count(), sup.cut_count(), 50).unwrap();
         sup.run(&schedule).unwrap();
         for decision in sup.decisions() {
@@ -1134,13 +1073,10 @@ mod tests {
         // the replan, so some Keeps really serve above the stale plan.
         let net = zoo::alexnet(128).unwrap();
         let array = AcceleratorArray::heterogeneous_tpu(2, 2);
-        let config = SuperviseConfig {
-            threads: Some(1),
-            ..SuperviseConfig::default()
-        };
+        let planner = request(&net, &array, 1).build().unwrap();
         let mut within_margin = 0;
         for seed in 0..12 {
-            let mut sup = Supervisor::new(&net, &array, Some(2), config.clone()).unwrap();
+            let mut sup = planner.supervise(SuperviseConfig::default()).unwrap();
             let schedule = recovery_heavy(seed, sup.leaf_count(), sup.cut_count());
             sup.run(&schedule).unwrap();
             for decision in sup.decisions() {
@@ -1170,15 +1106,18 @@ mod tests {
         let net = zoo::lenet(64).unwrap();
         let array = AcceleratorArray::heterogeneous_tpu(2, 2);
         let config = SuperviseConfig {
-            threads: Some(1),
-            // A zero node budget stops every level: the replan still
-            // produces a feasible (data-parallel) candidate, proving a
-            // budget stop is a degraded answer, not a failure.
-            replan_nodes: Some(0),
             retry: RetryPolicy::none(),
             ..SuperviseConfig::default()
         };
-        let mut sup = Supervisor::new(&net, &array, Some(2), config).unwrap();
+        let mut sup = request(&net, &array, 1)
+            // A zero node budget stops every level: the replan still
+            // produces a feasible (data-parallel) candidate, proving a
+            // budget stop is a degraded answer, not a failure.
+            .budget(Budget::unlimited().max_nodes(0))
+            .build()
+            .unwrap()
+            .supervise(config)
+            .unwrap();
         sup.observe(HealthEvent {
             at: 0.0,
             kind: HealthEventKind::Degrade { leaf: 0, factor: 0.2 },
@@ -1197,15 +1136,16 @@ mod tests {
         let collector = Arc::new(Collector::new());
         let net = zoo::lenet(64).unwrap();
         let array = AcceleratorArray::heterogeneous_tpu(2, 2);
-        let config = SuperviseConfig {
-            threads: Some(1),
-            obs: Obs::new(Arc::clone(&collector)),
-            ..SuperviseConfig::default()
-        };
-        let mut sup = Supervisor::new(&net, &array, Some(2), config).unwrap();
+        let obs = Obs::new(Arc::clone(&collector));
+        let mut sup = request(&net, &array, 1)
+            .obs(obs.clone())
+            .build()
+            .unwrap()
+            .supervise(SuperviseConfig::default())
+            .unwrap();
         let schedule = HealthSchedule::random(3, sup.leaf_count(), sup.cut_count(), 10).unwrap();
         let report = sup.run(&schedule).unwrap();
-        sup.config.obs.emit_metrics();
+        obs.emit_metrics();
         let snap = collector.last_metrics().unwrap();
         assert_eq!(snap.counter("supervise.events"), 10);
         assert_eq!(snap.counter("supervise.replans"), report.replans as u64);
@@ -1214,11 +1154,97 @@ mod tests {
 
     #[test]
     fn report_on_a_quiet_timeline_is_fully_available() {
-        let mut sup = supervisor(Some(1));
+        let mut sup = supervisor(1);
         sup.settle().unwrap();
         let report = sup.report();
         assert_eq!(report.events, 0);
         assert!((report.availability - 1.0).abs() < 1e-12);
         assert_eq!(report.mttr, None);
+    }
+
+    #[test]
+    fn a_returned_replan_error_is_not_retried() {
+        // Two one-core boards: after one fails, the survivor cannot be
+        // bisected, so every replan returns an error.
+        let net = zoo::lenet(64).unwrap();
+        let spec = AcceleratorSpec::new("one-core", 1e12, 1 << 34, 100e9, 1e12, 1, 1e12).unwrap();
+        let array = AcceleratorArray::homogeneous(spec, 2);
+        let planner = Planner::builder(&net, &array).levels(1).threads(1).build().unwrap();
+        let planned = planner.plan(Strategy::AccPar).unwrap();
+        let dropped = FaultModel::new().drop_leaf(1);
+        assert!(matches!(
+            planner.replan(&planned, &dropped),
+            Err(PlanError::ReplanInfeasible(_))
+        ));
+        let mut sup = planner.supervise(SuperviseConfig::default()).unwrap();
+        sup.observe(HealthEvent {
+            at: 0.0,
+            kind: HealthEventKind::Fail { leaf: 1 },
+        })
+        .unwrap();
+        sup.settle().unwrap();
+        let report = sup.report();
+        assert_eq!(report.retries, 0);
+        assert_eq!(report.replans, 0);
+        // Data parallelism cannot run on an unbisected survivor either.
+        assert_eq!(report.decisions.len(), 1);
+        assert_eq!(report.decisions[0].action, SuperviseAction::Shed);
+    }
+
+    #[test]
+    fn planner_supervise_and_the_forward_decide_alike() {
+        let net = zoo::lenet(64).unwrap();
+        let array = AcceleratorArray::heterogeneous_tpu(2, 2);
+        let schedule = HealthSchedule::random(17, 4, 3, 60).unwrap();
+        let mut via_planner = request(&net, &array, 1)
+            .build()
+            .unwrap()
+            .supervise(SuperviseConfig::default())
+            .unwrap();
+        let config = SuperviseConfig {
+            threads: Some(1),
+            ..SuperviseConfig::default()
+        };
+        let mut via_forward = Supervisor::new(&net, &array, Some(2), config.clone()).unwrap();
+        assert_eq!(
+            via_planner.run(&schedule).unwrap(),
+            via_forward.run(&schedule).unwrap()
+        );
+        assert_eq!(via_planner.healthy_plan(), via_forward.healthy_plan());
+        assert_eq!(via_planner.plan(), via_forward.plan());
+        // The request owns the planning knobs: a thread count on the
+        // ladder, or faults on the request, are refused.
+        let built = request(&net, &array, 1).build().unwrap();
+        assert!(matches!(built.supervise(config), Err(PlanError::Config(_))));
+        let faults = FaultModel::new().slow_leaf(0, 0.5).unwrap();
+        let faulted = request(&net, &array, 1).faults(&faults).build().unwrap();
+        assert!(matches!(
+            faulted.supervise(SuperviseConfig::default()),
+            Err(PlanError::Config(_))
+        ));
+    }
+
+    #[test]
+    fn a_search_decision_runs_four_simulations() {
+        let collector = Arc::new(Collector::new());
+        let net = zoo::lenet(64).unwrap();
+        let array = AcceleratorArray::heterogeneous_tpu(2, 2);
+        let mut sup = request(&net, &array, 1)
+            .obs(Obs::new(Arc::clone(&collector)))
+            .build()
+            .unwrap()
+            .supervise(SuperviseConfig::default())
+            .unwrap();
+        let before = collector.events_named("sim.report").len();
+        // Far outside the band: the incumbent, the stale baseline, the
+        // candidate and the adopted plan's healthy time — no nominal.
+        sup.observe(HealthEvent {
+            at: 0.0,
+            kind: HealthEventKind::Degrade { leaf: 0, factor: 0.2 },
+        })
+        .unwrap();
+        sup.settle().unwrap();
+        assert!(sup.decisions()[0].replanned);
+        assert_eq!(collector.events_named("sim.report").len() - before, 4);
     }
 }

@@ -325,6 +325,9 @@ const DEADLINE_STRIDE: u64 = 16;
 #[derive(Debug, Clone, Default)]
 struct BudgetSpec {
     deadline: Option<Instant>,
+    /// The relative allowance behind `deadline`, when it was set by
+    /// [`Budget::deadline`]: [`Budget::fresh`] re-arms it.
+    allowance: Option<Duration>,
     max_nodes: Option<u64>,
     cancel: Option<CancelToken>,
     chaos_node: Option<u64>,
@@ -384,13 +387,38 @@ impl Budget {
     /// apply combinators before handing the budget to workers.
     #[must_use]
     pub fn deadline(self, after: Duration) -> Self {
-        self.deadline_at(Instant::now() + after)
+        self.update(|s| {
+            s.deadline = Some(Instant::now() + after);
+            s.allowance = Some(after);
+        })
     }
 
     /// Adds a wall-clock deadline at an absolute instant.
     #[must_use]
     pub fn deadline_at(self, at: Instant) -> Self {
-        self.update(|s| s.deadline = Some(at))
+        self.update(|s| {
+            s.deadline = Some(at);
+            s.allowance = None;
+        })
+    }
+
+    /// A copy for one more run of the same work: the same limits with
+    /// zeroed counters (the chaos hook re-arms), and a
+    /// [`deadline`](Budget::deadline) re-armed to its full allowance
+    /// from now. An absolute deadline and a cancel token carry over
+    /// unchanged.
+    #[must_use]
+    pub fn fresh(&self) -> Self {
+        match &self.inner {
+            None => Self::unlimited(),
+            Some(inner) => {
+                let mut spec = inner.spec.clone();
+                if let Some(after) = spec.allowance {
+                    spec.deadline = Some(Instant::now() + after);
+                }
+                Self::with_spec(spec)
+            }
+        }
     }
 
     /// Caps the number of nodes that may be charged. A cap of 0 makes
@@ -868,6 +896,26 @@ mod tests {
         // A stride-width bulk charge also crosses the check boundary.
         let bulk = Budget::unlimited().deadline(Duration::ZERO);
         assert_eq!(bulk.try_charge(DEADLINE_STRIDE * 2), Err(StopReason::Deadline));
+    }
+
+    #[test]
+    fn a_fresh_budget_keeps_the_limits_and_zeroes_the_counters() {
+        let spent = Budget::unlimited().max_nodes(2).deadline(Duration::from_secs(3600));
+        assert_eq!(spent.try_charge(3), Err(StopReason::NodeBudget));
+        let fresh = spent.fresh();
+        assert_eq!(fresh.nodes_expanded(), 0);
+        assert_eq!(fresh.class_bits(), spent.class_bits());
+        assert_eq!(fresh.try_charge(2), Ok(()));
+        assert_eq!(fresh.try_charge(1), Err(StopReason::NodeBudget));
+        // A relative deadline re-arms from the copy; an absolute one that
+        // passed stays passed.
+        let relative = Budget::unlimited().deadline(Duration::from_millis(200));
+        thread::sleep(Duration::from_millis(250));
+        assert_eq!(relative.check(), Err(StopReason::Deadline));
+        assert_eq!(relative.fresh().check(), Ok(()));
+        let past = Budget::unlimited().deadline_at(Instant::now());
+        assert_eq!(past.fresh().check(), Err(StopReason::Deadline));
+        assert!(Budget::unlimited().fresh().is_unlimited());
     }
 
     #[test]

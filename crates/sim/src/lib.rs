@@ -60,7 +60,6 @@ pub mod machine;
 pub mod memory;
 mod simulator;
 pub mod trace;
-pub mod tracefile;
 
 pub use config::{MemModel, Optimizer, SimConfig};
 pub use des::{simulate_des, simulate_des_in, DesArena, DesReport};

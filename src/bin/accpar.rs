@@ -432,13 +432,16 @@ fn cmd_supervise(args: &Args) -> Result<(), String> {
     let setup = setup(args)?;
     let seed = u64_flag(args, "seed")?.unwrap_or(0xacc9a7);
     let events = args.usize_or("events", 80)?;
-    let mut sup = Supervisor::new(
-        &setup.network,
-        &setup.array,
-        setup.levels,
-        SuperviseConfig::default(),
-    )
-    .map_err(|e| e.to_string())?;
+    // Not `request(..)`: the supervisor compares plans with the
+    // request's default, cost-model-aligned simulator.
+    let mut request = Planner::builder(&setup.network, &setup.array);
+    if let Some(levels) = setup.levels {
+        request = request.levels(levels);
+    }
+    let mut sup = request
+        .build()
+        .and_then(|planner| planner.supervise(SuperviseConfig::default()))
+        .map_err(|e| e.to_string())?;
     let schedule = HealthSchedule::random(seed, sup.leaf_count(), sup.cut_count(), events)
         .map_err(|e| e.to_string())?;
     let report = sup.run(&schedule).map_err(|e| e.to_string())?;

@@ -125,23 +125,6 @@ fn model_partitioning_shrinks_update_time() {
 }
 
 #[test]
-fn trace_codec_round_trips_a_real_layer_trace() {
-    use accpar::partition::{Phase, ShardScales};
-    use accpar::sim::trace::phase_segments;
-    use accpar::sim::tracefile::{decode_segments, encode_segments};
-
-    let net = zoo::alexnet(32).unwrap();
-    let view = net.train_view().unwrap();
-    for layer in view.layers() {
-        for phase in Phase::ALL {
-            let segs = phase_segments(layer, phase, ShardScales::full());
-            let decoded = decode_segments(encode_segments(&segs)).unwrap();
-            assert_eq!(decoded, segs, "{} {phase}", layer.name());
-        }
-    }
-}
-
-#[test]
 fn plan_within_memory_repairs_replication() {
     // A small-HBM fleet where VGG-16's replicated Adam state does not
     // fit: the planner's repair shards it and the result simulates.

@@ -19,17 +19,25 @@
 
 use accpar::prelude::*;
 
+/// The request every soak supervises: `net` on hetero 2+2 at depth 2,
+/// planned on `threads` threads.
+fn planner<'a>(net: &'a Network, array: &'a AcceleratorArray, threads: usize) -> Planner<'a> {
+    Planner::builder(net, array)
+        .levels(2)
+        .threads(threads)
+        .build()
+        .expect("request builds")
+}
+
 /// Replays `n_events` seeded events over `network` and checks terminal
 /// bit-identity against a direct replan, never-worse per decision, and
 /// report sanity. Returns the report for further checks.
 fn soak(network: &str, batch: usize, seed: u64, n_events: usize) -> SuperviseReport {
     let net = zoo::by_name(network, batch).expect("zoo network");
     let array = AcceleratorArray::heterogeneous_tpu(2, 2);
-    let config = SuperviseConfig {
-        threads: Some(1),
-        ..SuperviseConfig::default()
-    };
-    let mut sup = Supervisor::new(&net, &array, Some(2), config).expect("supervisor builds");
+    let mut sup = planner(&net, &array, 1)
+        .supervise(SuperviseConfig::default())
+        .expect("supervisor builds");
     let schedule = HealthSchedule::random(seed, sup.leaf_count(), sup.cut_count(), n_events)
         .expect("schedule builds");
     let report = sup.run(&schedule).expect("soak run");
@@ -42,21 +50,10 @@ fn soak(network: &str, batch: usize, seed: u64, n_events: usize) -> SuperviseRep
     // terminal fault set, from the same healthy baseline but a fresh
     // cache, must reproduce the settled plan bit for bit.
     let terminal = schedule.fold_all(FaultModel::new()).expect("terminal fold");
-    let view = net.train_view().expect("train view");
-    let tree = GroupTree::bisect(&array, 2).expect("bisect");
-    let direct = replan(
-        &view,
-        &array,
-        &tree,
-        sup.healthy_plan(),
-        &terminal,
-        &ReplanConfig {
-            sensitivity: false,
-            threads: Some(1),
-            ..ReplanConfig::default()
-        },
-    )
-    .expect("direct replan");
+    let fresh = planner(&net, &array, 1);
+    let healthy = fresh.plan(Strategy::AccPar).expect("healthy plan");
+    assert_eq!(healthy.plan(), sup.healthy_plan());
+    let direct = fresh.replan(&healthy, &terminal).expect("direct replan");
     assert_eq!(
         sup.plan(),
         Some(&direct.plan),
@@ -103,11 +100,9 @@ fn soak_is_deterministic_across_thread_counts() {
     let net = zoo::alexnet(64).expect("zoo network");
     let array = AcceleratorArray::heterogeneous_tpu(2, 2);
     let run = |threads: usize| {
-        let config = SuperviseConfig {
-            threads: Some(threads),
-            ..SuperviseConfig::default()
-        };
-        let mut sup = Supervisor::new(&net, &array, Some(2), config).expect("supervisor builds");
+        let mut sup = planner(&net, &array, threads)
+            .supervise(SuperviseConfig::default())
+            .expect("supervisor builds");
         let schedule = HealthSchedule::random(13, sup.leaf_count(), sup.cut_count(), 100)
             .expect("schedule builds");
         let report = sup.run(&schedule).expect("soak run");
@@ -124,11 +119,9 @@ fn soak_is_deterministic_across_thread_counts() {
 fn fail_recover_bursts_race_inside_the_debounce_window() {
     let net = zoo::lenet(64).expect("zoo network");
     let array = AcceleratorArray::heterogeneous_tpu(2, 2);
-    let config = SuperviseConfig {
-        threads: Some(1),
-        ..SuperviseConfig::default()
-    };
-    let mut sup = Supervisor::new(&net, &array, Some(2), config).expect("supervisor builds");
+    let mut sup = planner(&net, &array, 1)
+        .supervise(SuperviseConfig::default())
+        .expect("supervisor builds");
     let healthy = sup.healthy_plan().clone();
 
     // Forty bursts, each packed inside one debounce window: a board

@@ -216,3 +216,137 @@ fn deeper_networks_cost_more_under_dp() {
     assert!(cost("resnet34") > cost("resnet18"));
     assert!(cost("resnet50") > cost("resnet34"));
 }
+
+/// FNV-1a over every plan-tree node's partition type and ratio bits, in
+/// pre-order — a hash fixed by this file, so a golden cannot move with
+/// the standard library's hasher.
+fn plan_hash(plan: &PlanTree) -> u64 {
+    fn walk(plan: &PlanTree, h: &mut u64) {
+        for entry in plan.plan().layers() {
+            let ptype: u8 = match entry.ptype {
+                PartitionType::TypeI => 1,
+                PartitionType::TypeII => 2,
+                PartitionType::TypeIII => 3,
+            };
+            for byte in std::iter::once(ptype).chain(entry.ratio.value().to_bits().to_le_bytes()) {
+                *h = (*h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        if let Some((left, right)) = plan.children() {
+            walk(left, h);
+            walk(right, h);
+        }
+    }
+    let mut h = 0xcbf2_9ce4_8422_2325;
+    walk(plan, &mut h);
+    h
+}
+
+/// Golden plans for the paper's evaluation keys: the nine CNNs at batch
+/// 512 on hetero 128+128 (Fig. 5), 128 TPU-v3 boards (Fig. 6) and
+/// hetero 4+4, each planned to single boards. Each key pins the whole
+/// plan tree by [`plan_hash`] and its modeled cost to 1e-9 relative.
+/// Regenerate by printing both under this exact config.
+#[test]
+fn paper_cnn_golden_plans() {
+    // (network, [(hash, cost)] on hetero 128+128, 128×v3, hetero 4+4)
+    let goldens: [(&str, [(u64, f64); 3]); 9] = [
+        (
+            "lenet",
+            [
+                (0x5871_c1de_86db_614b, 3.958164075625562e-5),
+                (0x48da_3db6_321f_c5c9, 3.4835633326190476e-5),
+                (0x64c9_3bcb_b413_591b, 2.3567650580018e-4),
+            ],
+        ),
+        (
+            "alexnet",
+            [
+                (0x5edb_6525_6f89_d491, 1.0467655462703538e-2),
+                (0xade1_cf08_6c19_7e8f, 8.459261410707141e-3),
+                (0xafa3_9ed2_b8a4_58a1, 3.445389231875223e-2),
+            ],
+        ),
+        (
+            "vgg11",
+            [
+                (0x2aa3_c097_498f_e3ee, 2.9353036070016495e-2),
+                (0xdd81_50b5_2f2d_5993, 1.94246923515e-2),
+                (0x17c9_3963_adf8_5d22, 7.080799745693639e-2),
+            ],
+        ),
+        (
+            "vgg13",
+            [
+                (0xe1a2_24d5_fe7f_92b5, 3.0236023593083496e-2),
+                (0xa61e_9bf5_f0bf_127b, 2.00017535193e-2),
+                (0xf7f9_a958_6637_f251, 7.620791819426617e-2),
+            ],
+        ),
+        (
+            "vgg16",
+            [
+                (0x6c29_6c0f_72b7_7e9e, 4.44115564212375e-2),
+                (0x38db_bb4a_2fa7_2d3f, 2.846328960827142e-2),
+                (0x85e8_10f6_94fe_cf96, 1.0051204818765903e-1),
+            ],
+        ),
+        (
+            "vgg19",
+            [
+                (0x5794_2d51_b90c_b903, 5.946273699939151e-2),
+                (0x6647_f84a_8b40_7193, 3.7678489697242835e-2),
+                (0xfdda_8b79_e29a_797b, 1.2481617818105188e-1),
+            ],
+        ),
+        (
+            "resnet18",
+            [
+                (0x693e_a08e_114b_d6da, 1.700305993968046e-2),
+                (0x3979_c740_86a2_aadf, 1.2457351363207142e-2),
+                (0x4f45_99d4_e83c_284e, 7.481087966222481e-2),
+            ],
+        ),
+        (
+            "resnet34",
+            [
+                (0x3450_eb8b_3be5_2ccc, 3.4933770747597244e-2),
+                (0x348e_25a7_9bce_991f, 2.5766351742921426e-2),
+                (0x425a_6347_ce47_1840, 1.410752881779002e-1),
+            ],
+        ),
+        (
+            "resnet50",
+            [
+                (0xc7e4_a4b5_b570_5394, 6.217909334276343e-2),
+                (0x717f_17c1_7833_ebc8, 4.050539459195e-2),
+                (0x1819_70ac_e9f7_a044, 2.674329007150294e-1),
+            ],
+        ),
+    ];
+    let arrays = [
+        AcceleratorArray::heterogeneous_tpu(128, 128),
+        AcceleratorArray::homogeneous_tpu_v3(128),
+        AcceleratorArray::heterogeneous_tpu(4, 4),
+    ];
+    let mut misses = Vec::new();
+    for (name, keys) in goldens {
+        let net = zoo::by_name(name, 512).unwrap();
+        for (array, (hash, cost)) in arrays.iter().zip(keys) {
+            let planned = Planner::builder(&net, array)
+                .build()
+                .unwrap()
+                .plan(Strategy::AccPar)
+                .unwrap();
+            let (got_hash, got_cost) = (plan_hash(planned.plan()), planned.modeled_cost());
+            if got_hash != hash || (got_cost - cost).abs() > 1e-9 * cost {
+                misses.push(format!(
+                    "{name} on {} boards: hash 0x{got_hash:016x} cost {got_cost:e} \
+                     vs golden 0x{hash:016x} {cost:e}",
+                    array.len()
+                ));
+            }
+        }
+    }
+    assert!(misses.is_empty(), "golden plans moved:\n{}", misses.join("\n"));
+}

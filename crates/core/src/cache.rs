@@ -88,8 +88,12 @@ const SHARDS: usize = 8;
 
 /// File-format version of the persistence layer; bumped on any change
 /// to the record schema so older binaries quarantine newer files
-/// instead of misreading them.
-const FORMAT_VERSION: u64 = 1;
+/// instead of misreading them. Version 2 writes a twin bisection
+/// ([`PlanTree::twin`]) as `"twin":{…}` with its shared child once,
+/// where version 1 wrote `"children":[…,…]`. Version-1 files still load,
+/// and one is rewritten as version 2 before its first append, so no file
+/// mixes the two.
+const FORMAT_VERSION: u64 = 2;
 
 /// Seeds priming the two hash lanes of a [`PlanKey`]. Arbitrary odd
 /// constants; all that matters is that they differ, so the two lanes
@@ -336,7 +340,8 @@ fn push_layer(out: &mut String, layer: &LayerPlan) {
 }
 
 /// Appends `tree` as `{"layers":[[type code,"ratio bits"],…]}`, with a
-/// `"children"` pair for a branch.
+/// `"twin"` child for a twin and a `"children"` pair for any other
+/// branch, so each distinct subtree is written once.
 fn push_plan(out: &mut String, tree: &PlanTree) {
     out.push_str("{\"layers\":[");
     for (i, layer) in tree.plan().layers().iter().enumerate() {
@@ -346,17 +351,26 @@ fn push_plan(out: &mut String, tree: &PlanTree) {
         push_layer(out, layer);
     }
     out.push(']');
-    if let Some((left, right)) = tree.children() {
-        out.push_str(",\"children\":[");
-        push_plan(out, left);
-        out.push(',');
-        push_plan(out, right);
-        out.push(']');
+    match tree.children() {
+        Some((child, _)) if tree.is_twin() => {
+            out.push_str(",\"twin\":");
+            push_plan(out, child);
+        }
+        Some((left, right)) => {
+            out.push_str(",\"children\":[");
+            push_plan(out, left);
+            out.push(',');
+            push_plan(out, right);
+            out.push(']');
+        }
+        None => {}
     }
     out.push('}');
 }
 
-fn plan_from_json(j: &Json) -> Option<PlanTree> {
+/// Decodes a plan node; `twins` is whether the file's version writes
+/// them. A node with both a `"twin"` and `"children"` is malformed.
+fn plan_from_json(j: &Json, twins: bool) -> Option<PlanTree> {
     let Json::Arr(layers) = j.get("layers")? else {
         return None;
     };
@@ -374,13 +388,18 @@ fn plan_from_json(j: &Json) -> Option<PlanTree> {
         return None;
     }
     let plan = NetworkPlan::new(entries);
-    match j.get("children") {
-        None => Some(PlanTree::leaf(plan)),
-        Some(Json::Arr(kids)) => {
+    match (j.get("children"), j.get("twin")) {
+        (None, None) => Some(PlanTree::leaf(plan)),
+        (Some(Json::Arr(kids)), None) => {
             let [l, r] = kids.as_slice() else { return None };
-            Some(PlanTree::branch(plan, plan_from_json(l)?, plan_from_json(r)?))
+            Some(PlanTree::branch(
+                plan,
+                plan_from_json(l, twins)?,
+                plan_from_json(r, twins)?,
+            ))
         }
-        Some(_) => None,
+        (None, Some(child)) if twins => Some(PlanTree::twin(plan, plan_from_json(child, twins)?)),
+        _ => None,
     }
 }
 
@@ -461,30 +480,35 @@ enum JournalLine {
     Evict(PlanKey),
 }
 
-fn decode_line(line: &str) -> Option<JournalLine> {
+/// Decodes one line of a journal of format `version`. A record whose
+/// plan depth disagrees with its `levels` is malformed.
+fn decode_line(line: &str, version: u64) -> Option<JournalLine> {
     let j = open_line(line)?;
     if let Some(key) = j.get("evict") {
         return Some(JournalLine::Evict(PlanKey::from_hex(key.as_str()?)?));
     }
-    Some(JournalLine::Record(PlanRecord {
+    let record = PlanRecord {
         key: PlanKey::from_hex(j.get("key")?.as_str()?)?,
         strategy: strategy_from_label(j.get("strategy")?.as_str()?)?,
         levels: j.get("levels")?.as_f64()? as usize,
         cost: f64_from_bits_hex(j.get("cost")?)?,
-        plan: plan_from_json(j.get("plan")?)?,
-    }))
+        plan: plan_from_json(j.get("plan")?, version >= 2)?,
+    };
+    (record.plan.depth() == record.levels).then_some(JournalLine::Record(record))
 }
 
-/// Parses and verifies a header line, returning its generation.
-fn header_generation(line: &str) -> Option<u64> {
+/// Parses and verifies a header line, returning its format version (1
+/// or [`FORMAT_VERSION`]) and generation.
+fn header_version(line: &str) -> Option<(u64, u64)> {
     let j = open_line(line)?;
     if j.get("magic")?.as_str()? != "accpar-plan-cache" {
         return None;
     }
-    if j.get("version")?.as_f64()? as u64 != FORMAT_VERSION {
+    let version = j.get("version")?.as_f64()? as u64;
+    if !(1..=FORMAT_VERSION).contains(&version) {
         return None;
     }
-    Some(j.get("generation")?.as_f64()? as u64)
+    Some((version, j.get("generation")?.as_f64()? as u64))
 }
 
 // --- the cache --------------------------------------------------------
@@ -543,6 +567,9 @@ struct Journal {
     lines: usize,
     /// The lines of the write being assembled, reused across writes.
     buf: String,
+    /// The file is a version-1 journal: the next write rewrites it in
+    /// the current format instead of appending to it.
+    legacy: bool,
 }
 
 /// What a warm load found on disk.
@@ -909,11 +936,12 @@ impl PlanCache {
         let header = lines.next().map(|h| {
             h.strip_suffix(b"\n")
                 .and_then(|h| std::str::from_utf8(h).ok())
-                .and_then(header_generation)
+                .and_then(header_version)
         });
         let clean = match header {
             None => false,
-            Some(Some(generation)) => {
+            Some(Some((version, generation))) => {
+                journal.legacy = version < FORMAT_VERSION;
                 for raw in lines {
                     journal.lines += 1;
                     let Some(line) = raw.strip_suffix(b"\n") else {
@@ -931,7 +959,7 @@ impl PlanCache {
                         quarantined += 1;
                         continue;
                     };
-                    match decode_line(line) {
+                    match decode_line(line, version) {
                         Some(JournalLine::Record(record)) => {
                             let tick = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
                             lock_unpoisoned(self.shard(&record.key)).map.insert(
@@ -982,9 +1010,16 @@ impl PlanCache {
 
     /// Appends the lines assembled in the journal's buffer, then compacts
     /// once the journal holds more than twice as many lines as live
-    /// records. Caller holds the journal lock.
+    /// records. A version-1 journal is compacted instead — the memory
+    /// already holds the write — so the file moves to the current format
+    /// whole. Caller holds the journal lock.
     fn commit(&self, journal: &mut Journal) {
         if journal.buf.is_empty() {
+            return;
+        }
+        if journal.legacy {
+            journal.buf.clear();
+            self.compact(journal);
             return;
         }
         let lines = journal.buf.matches('\n').count();
@@ -1031,6 +1066,7 @@ impl PlanCache {
         });
         out.clear();
         journal.lines = live;
+        journal.legacy = false;
         match written {
             Ok(f) => journal.out = Some(f),
             Err(e) => {
@@ -1053,7 +1089,7 @@ mod tests {
     }
 
     fn record_from_line(line: &str) -> Option<PlanRecord> {
-        match decode_line(line)? {
+        match decode_line(line, FORMAT_VERSION)? {
             JournalLine::Record(record) => Some(record),
             JournalLine::Evict(_) => None,
         }
@@ -1112,11 +1148,14 @@ mod tests {
         }
     }
 
-    /// A header and a two-level record covering all three partition
-    /// types, as the `Json` tree encoder rendered them (`Json::compact`
-    /// wrote every earlier file of this format version).
+    /// A version-1 header and a two-level record covering all three
+    /// partition types, as the `Json` tree encoder rendered them
+    /// (`Json::compact` wrote every version-1 file). Version 2 writes a
+    /// record without twins byte for byte as version 1 did.
     const PINNED_HEADER: &str =
         r#"{"magic":"accpar-plan-cache","version":1,"generation":3,"crc":"2ee3fbf850ec3912"}"#;
+    const PINNED_HEADER_V2: &str =
+        r#"{"magic":"accpar-plan-cache","version":2,"generation":3,"crc":"ac33bb87ec621439"}"#;
     const PINNED_RECORD: &str = concat!(
         r#"{"key":"0123456789abcdeffedcba9876543210","strategy":"AccPar","levels":2,"#,
         r#""cost":"3f5437c5692b3cc5","plan":{"layers":[[1,"3fe0000000000000"],"#,
@@ -1153,7 +1192,7 @@ mod tests {
     #[test]
     fn record_line_is_pinned_to_the_json_tree_encoding() {
         assert_eq!(record_to_line(&pinned_record()), PINNED_RECORD);
-        assert_eq!(header_line(3), PINNED_HEADER);
+        assert_eq!(header_line(3), PINNED_HEADER_V2);
         // A file written in that format warm-loads bit for bit, and as
         // it holds no dead line the open leaves it untouched.
         let dir = std::env::temp_dir().join(format!(
@@ -1180,9 +1219,141 @@ mod tests {
     #[test]
     fn header_round_trips_and_rejects_wrong_version() {
         let line = header_line(17);
-        assert_eq!(header_generation(&line), Some(17));
-        let forged = line.replace("\"version\":1", "\"version\":2");
-        assert_eq!(header_generation(&forged), None);
+        assert_eq!(header_version(&line), Some((FORMAT_VERSION, 17)));
+        let forged = line.replace("\"version\":2", "\"version\":3");
+        assert_eq!(header_version(&forged), None);
+    }
+
+    /// A three-level record whose root is a branch of two different
+    /// twins.
+    fn twin_record() -> PlanRecord {
+        let level = |t: PartitionType, a: f64| {
+            NetworkPlan::uniform(3, LayerPlan::new(t, Ratio::new(a).unwrap()))
+        };
+        let twin = |t, a| {
+            PlanTree::twin(level(t, a), PlanTree::leaf(level(PartitionType::TypeIII, 0.5)))
+        };
+        PlanRecord {
+            levels: 3,
+            plan: PlanTree::branch(
+                level(PartitionType::TypeI, 0.3),
+                twin(PartitionType::TypeII, 0.5),
+                twin(PartitionType::TypeI, 0.5),
+            ),
+            ..record(11, 2.5e-3 + f64::EPSILON)
+        }
+    }
+
+    /// Replaces a sealed line's checksum with a valid one for its
+    /// (edited) content.
+    fn reseal(line: &str) -> String {
+        let body = &line[..line.rfind(",\"crc\":\"").unwrap()];
+        let mut out = body.to_owned();
+        seal(&mut out, 0);
+        out.trim_end().to_owned()
+    }
+
+    #[test]
+    fn twin_record_round_trips_with_its_twins_shared() {
+        let want = twin_record();
+        let line = record_to_line(&want);
+        assert_eq!(line.matches("\"twin\"").count(), 2);
+        assert_eq!(line.matches("\"layers\"").count(), 5, "each distinct node once");
+        let got = record_from_line(&line).unwrap();
+        assert_eq!(got, want);
+        assert_eq!(got.cost.to_bits(), want.cost.to_bits());
+        let (a, b) = got.plan.children().unwrap();
+        assert!(!got.plan.is_twin());
+        assert!(a.is_twin() && b.is_twin());
+        // A version-1 journal never holds a twin.
+        assert!(decode_line(&line, 1).is_none());
+    }
+
+    #[test]
+    fn malformed_twin_lines_are_quarantined() {
+        let line = record_to_line(&twin_record());
+        // A node with both a twin and a children pair.
+        let leaf = r#"{"layers":[[1,"3fe0000000000000"]]}"#;
+        let both = reseal(&line.replacen(
+            ",\"twin\":",
+            &format!(",\"children\":[{leaf},{leaf}],\"twin\":"),
+            1,
+        ));
+        assert!(decode_line(&both, FORMAT_VERSION).is_none());
+        // A depth that disagrees with `levels`.
+        let shallow = reseal(&line.replacen("\"levels\":3", "\"levels\":2", 1));
+        assert!(decode_line(&shallow, FORMAT_VERSION).is_none());
+        // The resealing itself keeps a good line good.
+        assert_eq!(record_from_line(&reseal(&line)).unwrap(), twin_record());
+
+        // In a journal, each bad line costs itself only.
+        let dir = std::env::temp_dir().join(format!(
+            "accpar-cache-bad-twin-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        let good = record(3, 0.75);
+        let text = format!(
+            "{}\n{both}\n{}\n{shallow}\n",
+            header_line(1),
+            record_to_line(&good)
+        );
+        fs::write(dir.join("plans.jsonl"), text).unwrap();
+        let cache = PlanCache::open(&dir, 16, Obs::off());
+        assert_eq!(cache.load_report(), LoadReport { loaded: 1, quarantined: 2 });
+        assert_eq!(cache.peek(&good.key).unwrap(), good);
+        assert!(cache.peek(&twin_record().key).is_none());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_version_1_journal_moves_to_version_2_on_its_first_append() {
+        let dir = std::env::temp_dir().join(format!(
+            "accpar-cache-upgrade-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        let file = dir.join("plans.jsonl");
+        // A version-1 line: two equal halves written out as a pair.
+        let half = NetworkPlan::uniform(3, LayerPlan::data_parallel());
+        let old = PlanRecord {
+            plan: PlanTree::branch(
+                half.clone(),
+                PlanTree::leaf(half.clone()),
+                PlanTree::leaf(half),
+            ),
+            ..record(5, 0.125)
+        };
+        let text = format!(
+            "{PINNED_HEADER}\n{PINNED_RECORD}\n{}\n",
+            record_to_line(&old)
+        );
+        fs::write(&file, &text).unwrap();
+        let cache = PlanCache::open(&dir, 16, Obs::off());
+        assert_eq!(cache.load_report(), LoadReport { loaded: 2, quarantined: 0 });
+        let before = cache.generation();
+        assert_eq!(fs::read_to_string(&file).unwrap(), text, "a read leaves the file alone");
+        cache.insert(twin_record());
+        assert!(cache.generation() > before);
+        let rewritten = fs::read_to_string(&file).unwrap();
+        let mut lines = rewritten.lines();
+        assert_eq!(header_version(lines.next().unwrap()).map(|(v, _)| v), Some(FORMAT_VERSION));
+        assert_eq!(lines.count(), 3, "every live record, no v1 line left");
+        let generation = cache.generation();
+        drop(cache);
+        let reopened = PlanCache::open(&dir, 16, Obs::off());
+        assert_eq!(reopened.load_report(), LoadReport { loaded: 3, quarantined: 0 });
+        assert!(reopened.generation() >= generation);
+        assert_eq!(reopened.peek(&pinned_record().key).unwrap(), pinned_record());
+        assert_eq!(reopened.peek(&old.key).unwrap(), old);
+        let twin = reopened.peek(&twin_record().key).unwrap();
+        assert_eq!(twin, twin_record());
+        assert!(twin.plan.children().unwrap().0.is_twin());
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -9,6 +9,7 @@
 use crate::error::PlanError;
 use crate::memo::{self, SearchCache};
 use crate::search::{LevelSearcher, SearchConfig};
+use accpar_cost::cache::scales_bits;
 use accpar_cost::{CostModel, PairEnv};
 use accpar_dnn::TrainView;
 use accpar_hw::GroupNode;
@@ -127,7 +128,13 @@ impl Progress {
 /// the pool, so a given budget always solves the same prefix and the
 /// outcome does not depend on the thread count. Only an unlimited
 /// budget, which can never stop a level, recurses into siblings in
-/// parallel.
+/// parallel — or plans a *twin* once: when the two halves of a cut
+/// price alike ([`GroupNode::prices_alike`]) and inherit bitwise-equal
+/// shard scales, their searches are the same pure function of the same
+/// inputs, so one half is planned and the tree shares it
+/// ([`PlanTree::twin`]). The other half's levels count as solved and
+/// keep their `plan.level` spans and `plan.level_done` events (with
+/// `memo_hit: true`), emitted without a search.
 ///
 /// # Errors
 ///
@@ -180,8 +187,8 @@ pub fn plan_node_budgeted(
             &full
         }
     };
-    let tree = plan_rec(&ctx, node, scales, pool, parent, 0)?;
-    Ok((tree, progress.report()))
+    let planned = plan_rec(&ctx, node, scales, pool, parent, 0)?;
+    Ok((planned.map(|p| p.tree), progress.report()))
 }
 
 /// Per-plan invariants threaded through the recursion.
@@ -199,6 +206,24 @@ struct Ctx<'a> {
     /// View fingerprint ⊕ context hash — constant across the tree, so a
     /// level memo key only adds the (env, scales) bits that vary.
     fp: u64,
+}
+
+/// A planned subtree and, when a memo or a trace is attached, one
+/// `(cost, cells)` stamp per level in pre-order — what the other half of
+/// a twin replays instead of searching.
+struct Planned {
+    tree: PlanTree,
+    stamps: Vec<(f64, u64)>,
+}
+
+/// Budget rows one level search charges: one per layer, or one per
+/// collapse group under isomorphism collapse. A memo hit charges the
+/// same, so the accounting does not depend on how a level was served.
+fn level_rows(ctx: &Ctx<'_>, scales: &[ShardScales]) -> u64 {
+    match &ctx.iso {
+        Some(iso) => crate::search::collapse_group_count(iso, scales),
+        None => scales.len() as u64,
+    }
 }
 
 /// The per-level data-parallel baseline: Type-I, equal ratio, every
@@ -227,7 +252,7 @@ fn plan_rec(
     pool: Pool,
     parent: Option<u64>,
     depth: usize,
-) -> Result<Option<PlanTree>, PlanError> {
+) -> Result<Option<Planned>, PlanError> {
     let Some(env) = PairEnv::from_node(node) else {
         return Ok(None);
     };
@@ -265,10 +290,7 @@ fn plan_rec(
                 // budget semantics must not depend on cache warmth.
                 // Under isomorphism collapse a cold build charges one
                 // node per equivalence class, so the hit does too.
-                let rows = match &ctx.iso {
-                    Some(iso) => crate::search::collapse_group_count(iso, scales),
-                    None => scales.len() as u64,
-                };
+                let rows = level_rows(ctx, scales);
                 ctx.budget
                     .try_charge(rows)
                     .map(|()| {
@@ -325,7 +347,10 @@ fn plan_rec(
                 &[("depth", depth.into()), ("reason", reason.label().into())],
             );
             // The fallback covers this level and its entire subtree.
-            return Ok(fallback_rec(ctx, node));
+            return Ok(fallback_rec(ctx, node).map(|tree| Planned {
+                tree,
+                stamps: Vec::new(),
+            }));
         }
     };
     span.event(
@@ -350,9 +375,21 @@ fn plan_rec(
         .collect();
 
     let child_parent = span.id();
+    let twin = ctx.budget.is_unlimited()
+        && child_a.prices_alike(child_b)
+        && scales_a
+            .iter()
+            .zip(&scales_b)
+            .all(|(&a, &b)| scales_bits(a) == scales_bits(b));
     // Siblings share the budget, so a limited one recurses serially in
     // pre-order: which levels it solves must not depend on scheduling.
-    let (left, right) = if pool.is_serial() || !ctx.budget.is_unlimited() {
+    let (left, right) = if twin {
+        let left = plan_rec(ctx, child_a, &scales_a, pool, child_parent, depth + 1)?;
+        if let Some(left) = &left {
+            replay(ctx, &left.tree, &mut left.stamps.iter(), child_parent, depth + 1, scales.len());
+        }
+        (left, None)
+    } else if pool.is_serial() || !ctx.budget.is_unlimited() {
         (
             plan_rec(ctx, child_a, &scales_a, pool, child_parent, depth + 1)?,
             plan_rec(ctx, child_b, &scales_b, pool, child_parent, depth + 1)?,
@@ -368,10 +405,62 @@ fn plan_rec(
         );
         (l?, r?)
     };
-    Ok(Some(match (left, right) {
-        (Some(l), Some(r)) => PlanTree::branch(outcome.plan, l, r),
+    let mut stamps = Vec::new();
+    if ctx.obs.enabled() || ctx.cache.is_some() {
+        let cells = match ctx.cache {
+            Some(_) => ctx.config.types.len() as u64 * level_rows(ctx, scales),
+            None => 0,
+        };
+        stamps.push((outcome.cost, cells));
+        for half in [&left, if twin { &left } else { &right }] {
+            stamps.extend(half.iter().flat_map(|p| &p.stamps));
+        }
+    }
+    let tree = match (left, right) {
+        (Some(l), _) if twin => PlanTree::twin(outcome.plan, l.tree),
+        (Some(l), Some(r)) => PlanTree::branch(outcome.plan, l.tree, r.tree),
         _ => PlanTree::leaf(outcome.plan),
-    }))
+    };
+    Ok(Some(Planned { tree, stamps }))
+}
+
+/// Accounts for the second half of a twin as if each level had been a
+/// memo hit: every level of `tree` counts as solved and notes the memo
+/// cells its planned twin noted, and under tracing gets its `plan.level`
+/// span and a `plan.level_done` event with the cost its planned twin
+/// found, nested as the search would have nested them. The memo itself
+/// is never asked.
+fn replay<'c>(
+    ctx: &Ctx<'_>,
+    tree: &PlanTree,
+    stamps: &mut impl Iterator<Item = &'c (f64, u64)>,
+    parent: Option<u64>,
+    depth: usize,
+    layers: usize,
+) {
+    ctx.progress.solved.fetch_add(1, Ordering::Relaxed);
+    let span = ctx.obs.span_at(
+        "plan.level",
+        parent,
+        &[("depth", depth.into()), ("layers", layers.into())],
+    );
+    if let Some(&(cost, cells)) = stamps.next() {
+        if let Some(c) = ctx.cache {
+            c.note_cells(cells);
+        }
+        span.event(
+            "plan.level_done",
+            &[
+                ("depth", depth.into()),
+                ("memo_hit", true.into()),
+                ("cost", cost.into()),
+            ],
+        );
+    }
+    if let Some((a, b)) = tree.children() {
+        replay(ctx, a, stamps, span.id(), depth + 1, layers);
+        replay(ctx, b, stamps, span.id(), depth + 1, layers);
+    }
 }
 
 #[cfg(test)]

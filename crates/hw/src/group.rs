@@ -135,6 +135,23 @@ impl GroupNode {
         }
     }
 
+    /// Whether this subtree and `other` price alike: the same shape, and
+    /// at every node caps and link bandwidth equal bit for bit. Board
+    /// indices do not count, so the two evenly split halves of a
+    /// homogeneous group price alike — everything the cost model and the
+    /// simulators read of them is equal.
+    #[must_use]
+    pub fn prices_alike(&self, other: &GroupNode) -> bool {
+        let caps = |c: GroupCaps| [c.flops, c.mem_bw, c.net_bw, c.hbm_bytes].map(f64::to_bits);
+        caps(self.caps) == caps(other.caps)
+            && self.link_bw.to_bits() == other.link_bw.to_bits()
+            && match (self.children(), other.children()) {
+                (None, None) => true,
+                (Some((a, b)), Some((c, d))) => a.prices_alike(c) && b.prices_alike(d),
+                _ => false,
+            }
+    }
+
     /// Iterates over the leaves of this subtree, left to right.
     pub fn leaves(&self) -> Box<dyn Iterator<Item = &GroupNode> + '_> {
         match self.children() {
@@ -525,6 +542,27 @@ mod tests {
             assert_eq!(leaf.group().total_cores(), 8);
         }
         assert_eq!(tree.root().depth(), 3);
+    }
+
+    #[test]
+    fn even_halves_price_alike_until_a_fault_touches_one() {
+        let tree = GroupTree::bisect(&AcceleratorArray::heterogeneous_tpu(4, 4), 3).unwrap();
+        let (v2, v3) = tree.root().children().unwrap();
+        assert!(!v2.prices_alike(v3));
+        let (a, b) = v2.children().unwrap();
+        assert!(a.prices_alike(b), "board indices do not count");
+        // A slow leaf breaks only the halves on its path.
+        let slow = tree.degraded(&FaultModel::new().slow_leaf(0, 0.5).unwrap()).unwrap();
+        let (v2, v3) = slow.root().children().unwrap();
+        let (a, b) = v2.children().unwrap();
+        assert!(!a.prices_alike(b));
+        let (c, d) = v3.children().unwrap();
+        assert!(c.prices_alike(d));
+        // So does a degraded cut, through the link bandwidths below it.
+        let cut = tree.degraded(&FaultModel::new().degrade_cut(2, 0.5).unwrap()).unwrap();
+        let (v2, _) = cut.root().children().unwrap();
+        let (a, b) = v2.children().unwrap();
+        assert!(!a.prices_alike(b));
     }
 
     #[test]

@@ -39,7 +39,7 @@
 
 use crate::config::SimConfig;
 use crate::error::SimError;
-use crate::geometry::{layer_geom, LayerGeom};
+use crate::geometry::{layer_geom, EdgeIndex, LayerGeom};
 use crate::machine::segments_secs;
 use crate::trace::phase_segments;
 use accpar_cost::comm::{attn_stage_elems, inter_conversion_split, intra_psum_elems};
@@ -326,9 +326,10 @@ fn simulate_des_with(
 
     let mut layers: Vec<&TrainLayer> = view.layers().collect();
     layers.sort_by_key(|l| l.index());
-    let edges = view.conversion_edges();
+    let edges = EdgeIndex::new(view);
+    let depth = tree.levels();
     let geoms: Vec<LayerGeom> = (0..n_layers)
-        .map(|l| layer_geom(tree.root(), plan, l))
+        .map(|l| layer_geom(tree.root(), plan, depth, l))
         .collect();
     let n_leaves = geoms.first().map_or(1, |g| g.leaves.len());
     let n_nodes = geoms.first().map_or(0, |g| g.nodes.len());
@@ -351,7 +352,7 @@ fn simulate_des_with(
         // one of its tasks.
         conv_ids.clear();
         if config.interlayer {
-            for edge in edges.iter().filter(|e| e.to == l) {
+            for edge in edges.consumed_by(l) {
                 let producer_done = arena.fwd_done[edge.from];
                 let dep_buf = [producer_done];
                 let deps: &[u32] = if producer_done == NO_TASK { &[] } else { &dep_buf };
@@ -418,7 +419,7 @@ fn simulate_des_with(
         // consumer layer c of layer l's output.
         conv_ids.clear();
         if config.interlayer {
-            for edge in edges.iter().filter(|e| e.from == l) {
+            for edge in edges.produced_by(l) {
                 // The consumer's backward must have produced E; when it
                 // has not, the loss gradient is available once the whole
                 // forward pass reaches the output.
@@ -675,8 +676,9 @@ mod naive {
         let mut layers: Vec<&TrainLayer> = view.layers().collect();
         layers.sort_by_key(|l| l.index());
         let edges = view.conversion_edges();
+        let depth = plan.depth();
         let geoms: Vec<LayerGeom> = (0..n_layers)
-            .map(|l| layer_geom(tree.root(), plan, l))
+            .map(|l| layer_geom(tree.root(), plan, depth, l))
             .collect();
         let n_leaves = geoms.first().map_or(1, |g| g.leaves.len());
         let n_nodes = geoms.first().map_or(0, |g| g.nodes.len());

@@ -1,7 +1,9 @@
 //! Shared per-layer tree geometry: the shard scales, cut links and plan
-//! entries at every node and leaf of a (group tree, plan tree) pair.
-//! Used by the step simulator and the memory-footprint analysis.
+//! entries at every node and leaf of a (group tree, plan tree) pair, and
+//! the conversion edges indexed by layer. Used by both simulators and
+//! the memory-footprint analysis.
 
+use accpar_dnn::{TrainEdge, TrainView};
 use accpar_hw::{GroupCaps, GroupNode};
 use accpar_partition::{LayerPlan, NetworkPlan, PlanTree, ShardScales};
 
@@ -24,10 +26,16 @@ pub(crate) struct LayerGeom<'p> {
 }
 
 /// Walks the tree for one layer, recording node and leaf geometry.
-pub(crate) fn layer_geom<'p>(root: &GroupNode, plan: &'p PlanTree, layer: usize) -> LayerGeom<'p> {
+/// `depth` is `plan.depth()`, taken once per step by the caller.
+pub(crate) fn layer_geom<'p>(
+    root: &GroupNode,
+    plan: &'p PlanTree,
+    depth: usize,
+    layer: usize,
+) -> LayerGeom<'p> {
     // A complete bisect tree of this depth has 2^d leaves and 2^d − 1
     // internal nodes; for uneven trees this is just a capacity hint.
-    let n_leaves = 1usize << plan.depth().min(16);
+    let n_leaves = 1usize << depth.min(16);
     let mut geom = LayerGeom {
         nodes: Vec::with_capacity(n_leaves - 1),
         leaves: Vec::with_capacity(n_leaves),
@@ -74,3 +82,66 @@ fn walk<'p>(
     }
 }
 
+/// A view's conversion edges indexed by consuming and by producing
+/// layer, built once per step. Each layer's list keeps the view's edge
+/// order, so sums over it add in the order a scan of every edge would.
+pub(crate) struct EdgeIndex {
+    edges: Vec<TrainEdge>,
+    by_consumer: Csr,
+    by_producer: Csr,
+}
+
+/// Edge positions grouped by layer: layer `l`'s are
+/// `at[start[l]..start[l + 1]]`.
+struct Csr {
+    start: Vec<usize>,
+    at: Vec<usize>,
+}
+
+impl Csr {
+    fn new(layers: usize, edges: &[TrainEdge], layer_of: impl Fn(&TrainEdge) -> usize) -> Self {
+        let mut start = vec![0; layers + 1];
+        for edge in edges {
+            start[layer_of(edge) + 1] += 1;
+        }
+        for l in 0..layers {
+            start[l + 1] += start[l];
+        }
+        let mut next = start.clone();
+        let mut at = vec![0; edges.len()];
+        for (i, edge) in edges.iter().enumerate() {
+            let slot = &mut next[layer_of(edge)];
+            at[*slot] = i;
+            *slot += 1;
+        }
+        Self { start, at }
+    }
+}
+
+impl EdgeIndex {
+    pub(crate) fn new(view: &TrainView) -> Self {
+        let edges = view.conversion_edges();
+        let layers = view.weighted_len();
+        Self {
+            by_consumer: Csr::new(layers, &edges, |e| e.to),
+            by_producer: Csr::new(layers, &edges, |e| e.from),
+            edges,
+        }
+    }
+
+    fn list<'a>(&'a self, csr: &'a Csr, l: usize) -> impl Iterator<Item = &'a TrainEdge> + 'a {
+        csr.at[csr.start[l]..csr.start[l + 1]]
+            .iter()
+            .map(|&i| &self.edges[i])
+    }
+
+    /// The edges layer `l` consumes (`edge.to == l`), in view order.
+    pub(crate) fn consumed_by(&self, l: usize) -> impl Iterator<Item = &TrainEdge> + '_ {
+        self.list(&self.by_consumer, l)
+    }
+
+    /// The edges layer `l` produces (`edge.from == l`), in view order.
+    pub(crate) fn produced_by(&self, l: usize) -> impl Iterator<Item = &TrainEdge> + '_ {
+        self.list(&self.by_producer, l)
+    }
+}

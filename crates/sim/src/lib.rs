@@ -58,6 +58,7 @@ mod faults;
 mod geometry;
 pub mod machine;
 pub mod memory;
+mod reference;
 mod simulator;
 pub mod trace;
 
@@ -67,6 +68,8 @@ pub use des::{simulate_des, simulate_des_in, DesArena, DesReport};
 pub use des::simulate_des_naive;
 pub use error::SimError;
 pub use memory::{memory_report, MemoryReport};
+#[doc(hidden)]
+pub use reference::simulate_bsp_reference;
 pub use simulator::{LayerBreakdown, SimReport, Simulator};
 
 /// One-call entry point for the bulk-synchronous simulator: simulates

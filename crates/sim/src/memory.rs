@@ -98,8 +98,9 @@ pub fn memory_report(
     let mut per_leaf_capacity: Vec<f64> = Vec::new();
     let mut transient_e: Vec<f64> = Vec::new();
 
+    let depth = plan.depth();
     for (l, layer) in layers.iter().enumerate() {
-        let geom = layer_geom(tree.root(), plan, l);
+        let geom = layer_geom(tree.root(), plan, depth, l);
         if per_leaf_bytes.is_empty() {
             per_leaf_bytes = vec![0.0; geom.leaves.len()];
             transient_e = vec![0.0; geom.leaves.len()];

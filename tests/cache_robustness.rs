@@ -97,12 +97,24 @@ fn cache_survives_restart_and_serves_from_disk() {
 #[test]
 fn any_bit_flip_is_detected_or_harmless() {
     let (network, array) = setup();
-    let dir = cache_dir("bitflip");
+    bit_flips_are_detected_or_harmless(&network, &array, "bitflip");
+    // A homogeneous array plans its evenly split halves as twins, which
+    // the journal writes once each (`"twin":{…}`).
+    let homogeneous = AcceleratorArray::homogeneous_tpu_v3(4);
+    bit_flips_are_detected_or_harmless(&network, &homogeneous, "bitflip-twin");
+}
+
+fn bit_flips_are_detected_or_harmless(network: &Network, array: &AcceleratorArray, tag: &str) {
+    let dir = cache_dir(tag);
     let cache = Arc::new(PlanCache::open(&dir, 64, Obs::off()));
-    let truth = serve_with_cache(&network, &array, &cache);
+    let truth = serve_with_cache(network, array, &cache);
     drop(cache);
     let file = dir.join("plans.jsonl");
     let pristine = fs::read(&file).expect("cache file exists");
+    if tag.ends_with("twin") {
+        assert!(truth.plan().is_twin());
+        assert!(String::from_utf8_lossy(&pristine).contains("\"twin\":"));
+    }
 
     let mut gen = common::Gen(0x5eed);
     for _ in 0..200 {
@@ -117,11 +129,16 @@ fn any_bit_flip_is_detected_or_harmless() {
         // reopened cache stays persistent and absorbed no I/O error.
         assert!(cache.persistent(), "bit {bit}: cache degraded to memory-only");
         assert_eq!(cache.stats().io_errors, 0, "bit {bit}: I/O error on open");
-        let served = serve_with_cache(&network, &array, &cache);
+        let served = serve_with_cache(network, array, &cache);
         assert_eq!(
             served.plan(),
             truth.plan(),
             "bit {bit}: corrupted cache served a different plan"
+        );
+        assert_eq!(
+            served.plan().is_twin(),
+            truth.plan().is_twin(),
+            "bit {bit}: corrupted cache served a different tree shape"
         );
         assert_eq!(
             served.modeled_cost().to_bits(),

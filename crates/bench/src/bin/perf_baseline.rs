@@ -129,9 +129,9 @@ fn time_best_ms<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
 }
 
 /// Plans every zoo network under AccPar with the given engine knobs,
-/// sharing `cache` across the sweep — the benchmark's workload is one
-/// accelerator array, so VGG variants share conv shapes and ResNet
-/// variants share whole blocks across networks.
+/// sharing `cache` across the sweep: its level outcomes answer a sweep
+/// that repeats, and its per-level row and block dedups share within
+/// each level search.
 fn plan_zoo(
     nets: &[Network],
     array: &AcceleratorArray,
@@ -665,10 +665,12 @@ fn main() -> ExitCode {
     //   replan — the full excursion: a forced Degrade/Recover round
     //            trip, settled after every event so both decisions
     //            replan from the healthy baseline through the
-    //            supervisor's persistent warm cache (reported, not
-    //            gated; the round trip restores the pre-excursion
-    //            state, and the recovered plan must be bit-identical
-    //            to the healthy baseline).
+    //            supervisor's memo (reported, not gated; the healthy
+    //            levels stay pinned, while the degraded ones are dropped
+    //            by the time the next Degrade searches, so each
+    //            excursion searches the degraded levels again; the
+    //            recovered plan must be bit-identical to the healthy
+    //            baseline).
     let sup_cold_ms = time_best_ms(reps, || {
         Planner::builder(&r50, &hetero)
             .threads(threads)

@@ -107,17 +107,19 @@ impl Progress {
 /// `scales` argument carries the per-layer shard scales accumulated from
 /// the ancestors; pass `None` at the root. `pool` is the thread budget
 /// for the layer rows of each level and for the two independent child
-/// recursions (split between them). `cache` optionally memoizes cost
-/// cells, block transfer tables and whole level outcomes across the
-/// tree; with or without it, and at any thread budget, the resulting
+/// recursions (split between them). `cache` optionally memoizes whole
+/// level outcomes across the tree and searches, and switches on each
+/// level search's row and block dedup; with or without it, and at any
+/// thread budget, the resulting
 /// [`PlanTree`] is bit-identical — the cache keys canonicalize every
 /// `f64` input and the recursion order does not influence any level's
 /// search. Each level emits one `plan.level` span nested under `parent`
 /// and feeds the `planner.level_search_ns` histogram when it searches;
 /// instrumentation never influences the plan.
 ///
-/// Every level charges one budget node per layer row (memo hits charge
-/// the same amount, so budget semantics are cache-independent). When
+/// Every level charges one budget node per unit — layer, or class under
+/// collapse — before any row is shared (memo hits charge the same
+/// amount, so budget semantics are cache-independent). When
 /// the budget stops a level's search, that level and its whole subtree
 /// fall back to the per-layer data-parallel baseline and planning of
 /// the remaining tree continues without further budget charges — the

@@ -1,22 +1,27 @@
-//! Cross-level memoization for the hierarchical planner.
+//! The planner's search memo.
 //!
-//! One [`SearchCache`] is shared across every level of a hierarchical
-//! plan (and across replan candidates) and memoizes three tiers of the
-//! search, coarsest first:
+//! A level search ([`LevelSearcher`]) needs each layer's cost row once
+//! and each block's transfer table once, and one [`SearchCache`]
+//! attached to a hierarchical plan (and to its replans) lets whole level
+//! searches be answered again. Only that last tier outlives one level
+//! search:
 //!
 //! 1. **Level outcomes** — a whole [`LevelSearcher`] run, keyed by the
 //!    view's structural fingerprint, the level's [`PairEnv`] bits and
-//!    the per-layer [`ShardScales`] bits. On a homogeneous half split
-//!    exactly in two, both children see bitwise-identical environments
-//!    and scales, so entire sibling subtrees resolve from the memo.
-//! 2. **Block transfer tables** — the §5.2 multi-path optimization of
-//!    one residual block between every (entry state, junction exit)
-//!    pair, keyed by the branches' layer signatures/scales, the entry
-//!    states, the fork size and the environment. Repeated ResNet
-//!    blocks within one level hit this tier.
-//! 3. **Layer table cells** — per-(layer, type) ratio/cost solves,
-//!    delegated to [`accpar_cost::CostCache`]. Shape-identical VGG
-//!    conv layers hit this tier.
+//!    the per-layer [`ShardScales`] bits. Replans, repeated requests and
+//!    a supervisor's next decision hit this tier: a fault leaves the
+//!    subtrees it does not touch bitwise unchanged.
+//! 2. **Layer rows**, deduplicated *within* one level search: units of
+//!    equal ([`LayerSig`](accpar_cost::LayerSig), scale bits) share one
+//!    row, since the environment, cost configuration and solver are
+//!    fixed for the level. Shape-identical VGG conv layers share here.
+//! 3. **Block transfer tables**, memoized per searcher under the same
+//!    value key (branch rows, entry states, fork size). Repeated ResNet
+//!    blocks within one level share here.
+//!
+//! The per-level tiers report into [`CacheStats`] (`layer_*` in cells,
+//! `block_*` in tables) but keep nothing once the level search ends —
+//! on a cold plan every row and block hit lands inside one level.
 //!
 //! Every key canonicalizes `f64`s via [`f64::to_bits`], so a
 //! `FaultModel`-degraded tree — whose group capabilities differ from the
@@ -28,72 +33,21 @@
 //! [`LevelSearcher`]: crate::search::LevelSearcher
 
 use crate::search::SearchOutcome;
-use accpar_cost::cache::{env_bits, scales_bits, FxHashMap, FxHasher, Row};
-use accpar_cost::{CostCache, CostConfig, CostModel, LayerSig, Objective, PairEnv, RatioSolver};
-use accpar_dnn::{TrainElem, TrainLayer, TrainView};
-use accpar_partition::{PartitionType, Ratio, ShardScales};
+use accpar_cost::cache::{env_bits, scales_bits, FxHashMap, FxHasher};
+use accpar_cost::{CostConfig, LayerSig, Objective, PairEnv, RatioSolver};
+use accpar_dnn::{TrainElem, TrainView};
+use accpar_obs::{Counter, Obs};
+use accpar_partition::{PartitionType, ShardScales};
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Mutex, OnceLock};
 
 /// A memoized block optimization: `table[entry][exit]` holds the summed
 /// branch cost plus the per-slot type choices, where *slot* numbers the
 /// block's branch layers branch-major (position-independent, so
-/// shape-identical blocks elsewhere in the network can reuse the entry).
+/// shape-identical blocks elsewhere in the level can reuse the entry).
 pub(crate) type BlockTransfer = Vec<Vec<(f64, Vec<(usize, usize)>)>>;
-
-/// Canonical key of one block transfer table (tier 2).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub(crate) struct BlockKey {
-    /// Every branch layer's signature and shard-scale bits,
-    /// branch-major; `branch_lens` delimits the branches (flattened to
-    /// keep the key a two-allocation build on the search's hot path).
-    layers: Vec<(LayerSig, [u64; 4])>,
-    branch_lens: Vec<u32>,
-    /// The DP's predecessor states (`None` when the block opens the
-    /// network): partition type and ratio bits per type index.
-    entries: Option<Vec<(PartitionType, u64)>>,
-    fork_elems: u64,
-    env: [u64; 10],
-    ctx: u64,
-}
-
-impl BlockKey {
-    /// Builds the canonical key for a block at the given entry states.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn new(
-        branches: &[Vec<TrainLayer>],
-        scales: &[ShardScales],
-        entries: Option<&[(PartitionType, Ratio)]>,
-        fork_elems: u64,
-        env: &PairEnv,
-        ctx: u64,
-        config: &CostConfig,
-    ) -> Self {
-        let mut layers = Vec::with_capacity(branches.iter().map(Vec::len).sum());
-        let mut branch_lens = Vec::with_capacity(branches.len());
-        for b in branches {
-            branch_lens.push(b.len() as u32);
-            layers.extend(
-                b.iter()
-                    .map(|l| (LayerSig::of(l, config), scales_bits(scales[l.index()]))),
-            );
-        }
-        Self {
-            layers,
-            branch_lens,
-            entries: entries.map(|es| {
-                es.iter()
-                    .map(|&(t, r)| (t, r.value().to_bits()))
-                    .collect()
-            }),
-            fork_elems,
-            env: env_bits(env),
-            ctx,
-        }
-    }
-}
 
 /// Canonical key of one whole-level search (tier 1). Built once per
 /// level request and reused for the miss-path insert.
@@ -119,13 +73,15 @@ impl LevelKey {
 /// Hit/miss counters of a [`SearchCache`], by tier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
-    /// Layer-table cells answered from the memo.
+    /// Layer-table cells a level search took from a shape-identical
+    /// unit's row instead of solving.
     pub layer_hits: u64,
-    /// Layer-table cells that had to compute.
+    /// Layer-table cells a level search solved (one row per distinct
+    /// layer shape and scale).
     pub layer_misses: u64,
-    /// Block transfer tables answered from the memo.
+    /// Block transfer tables reused within a level search.
     pub block_hits: u64,
-    /// Block transfer tables that had to compute.
+    /// Block transfer tables built.
     pub block_misses: u64,
     /// Whole-level searches answered from the memo.
     pub level_hits: u64,
@@ -140,8 +96,8 @@ impl CacheStats {
     /// Fraction of requested layer-table cells served without
     /// recomputation: `1 − computed / requested`. A level-memo hit
     /// serves its whole table from cache, so this is the end-to-end
-    /// service rate of the cost tables, not just the innermost map's
-    /// lookup ratio.
+    /// service rate of the cost tables, not just the row dedup's own
+    /// ratio.
     #[must_use]
     pub fn hit_rate(&self) -> f64 {
         if self.cells_requested == 0 {
@@ -180,23 +136,47 @@ impl fmt::Display for CacheStats {
     }
 }
 
-/// The three-tier search memo (see the module docs above).
+/// One memoized level outcome and its retention marks.
+#[derive(Debug)]
+struct Level {
+    outcome: SearchOutcome,
+    /// Never dropped by [`SearchCache::trim`].
+    pinned: bool,
+    /// Looked up or inserted since the last [`SearchCache::trim`].
+    touched: bool,
+}
+
+/// The search memo (see the module docs above): level outcomes across
+/// searches, plus the counters of the per-level row and block dedups.
 ///
 /// Thread-safe and shared by reference across the planner's workers.
 /// Reuse across *different* networks or cost configurations is safe —
-/// the view fingerprint and context hash key every tier — but pointless;
-/// the intended scope is one [`Planner`](crate::Planner) (plans,
-/// replans and candidate evaluations of one network).
+/// the view fingerprint and context hash key every level — but
+/// pointless; the intended scope is one [`Planner`](crate::Planner)
+/// (plans, replans and candidate evaluations of one network).
 #[derive(Default)]
 pub struct SearchCache {
-    layers: CostCache,
-    blocks: Mutex<FxHashMap<BlockKey, Arc<BlockTransfer>>>,
-    levels: Mutex<FxHashMap<LevelKey, SearchOutcome>>,
+    levels: Mutex<FxHashMap<LevelKey, Level>>,
+    layer_hits: AtomicU64,
+    layer_misses: AtomicU64,
     block_hits: AtomicU64,
     block_misses: AtomicU64,
     level_hits: AtomicU64,
     level_misses: AtomicU64,
     cells_requested: AtomicU64,
+    obs: OnceLock<RowObs>,
+}
+
+/// Pre-registered metric handles of the row dedup, obtained once at
+/// [`SearchCache::observe`] so level searches never touch the registry
+/// locks: `cost.cache.{hits,misses}` count the cells the dedup served
+/// or solved, `cost.evals.type_*` the solved cells per partition type.
+#[derive(Debug)]
+struct RowObs {
+    hits: Counter,
+    misses: Counter,
+    /// Indexed in [`PartitionType::ALL`] order.
+    evals: [Counter; 3],
 }
 
 impl SearchCache {
@@ -206,21 +186,29 @@ impl SearchCache {
         Self::default()
     }
 
-    /// Routes the layer-cell tier's hit/miss/per-type counters and
-    /// solve timings to `obs` (see
-    /// [`CostCache::observe`](accpar_cost::CostCache::observe)). A
-    /// no-op when `obs` is disabled; the first enabled registration
-    /// wins for the cache's lifetime.
-    pub fn observe(&self, obs: &accpar_obs::Obs) {
-        self.layers.observe(obs);
+    /// Routes the row dedup's `cost.cache.*` and `cost.evals.type_*`
+    /// counters to `obs`. A no-op when `obs` is disabled; the first
+    /// enabled registration wins for the cache's lifetime.
+    pub fn observe(&self, obs: &Obs) {
+        if obs.enabled() {
+            let _ = self.obs.set(RowObs {
+                hits: obs.counter("cost.cache.hits"),
+                misses: obs.counter("cost.cache.misses"),
+                evals: [
+                    obs.counter("cost.evals.type_i"),
+                    obs.counter("cost.evals.type_ii"),
+                    obs.counter("cost.evals.type_iii"),
+                ],
+            });
+        }
     }
 
     /// Current counters.
     #[must_use]
     pub fn stats(&self) -> CacheStats {
         CacheStats {
-            layer_hits: self.layers.hits(),
-            layer_misses: self.layers.misses(),
+            layer_hits: self.layer_hits.load(Ordering::Relaxed),
+            layer_misses: self.layer_misses.load(Ordering::Relaxed),
             block_hits: self.block_hits.load(Ordering::Relaxed),
             block_misses: self.block_misses.load(Ordering::Relaxed),
             level_hits: self.level_hits.load(Ordering::Relaxed),
@@ -229,34 +217,32 @@ impl SearchCache {
         }
     }
 
-    /// Tier-3 lookup: one layer's full row of (type → ratio/cost) cells.
-    /// `None` when the type set is too wide for a row entry — fall back
-    /// to [`SearchCache::layer_cell`].
-    pub(crate) fn layer_row(
-        &self,
-        model: &CostModel,
-        solver: &RatioSolver,
-        layer: &TrainLayer,
-        types: &[PartitionType],
-        env: &PairEnv,
-        scales: ShardScales,
-    ) -> Option<Row> {
-        self.layers
-            .layer_row(model, solver, layer, types, env, scales)
+    /// Records one level's row build: `solved` distinct rows computed
+    /// and `shared` units served from them, each row one cell per type
+    /// of `types`.
+    pub(crate) fn note_rows(&self, types: &[PartitionType], solved: u64, shared: u64) {
+        let k = types.len() as u64;
+        self.layer_misses.fetch_add(solved * k, Ordering::Relaxed);
+        self.layer_hits.fetch_add(shared * k, Ordering::Relaxed);
+        if let Some(o) = self.obs.get() {
+            o.misses.add(solved * k);
+            o.hits.add(shared * k);
+            for &t in types {
+                if let Some(i) = PartitionType::ALL.iter().position(|&a| a == t) {
+                    o.evals[i].add(solved);
+                }
+            }
+        }
     }
 
-    /// Tier-3 lookup of a single (layer, type) cell.
-    pub(crate) fn layer_cell(
-        &self,
-        model: &CostModel,
-        solver: &RatioSolver,
-        layer: &TrainLayer,
-        ptype: PartitionType,
-        env: &PairEnv,
-        scales: ShardScales,
-    ) -> (Ratio, f64) {
-        self.layers
-            .layer_ratio_cost(model, solver, layer, ptype, env, scales)
+    /// Records one block-table lookup of a level search's block memo.
+    pub(crate) fn note_block(&self, hit: bool) {
+        let counter = if hit {
+            &self.block_hits
+        } else {
+            &self.block_misses
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records that a level request asked for `n` layer-table cells
@@ -265,36 +251,68 @@ impl SearchCache {
         self.cells_requested.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Tier-2 lookup.
-    pub(crate) fn block_lookup(&self, key: &BlockKey) -> Option<Arc<BlockTransfer>> {
-        let hit = lock(&self.blocks).get(key).cloned();
-        match &hit {
-            Some(_) => self.block_hits.fetch_add(1, Ordering::Relaxed),
-            None => self.block_misses.fetch_add(1, Ordering::Relaxed),
-        };
-        hit
-    }
-
-    /// Tier-2 insert; returns the stored table.
-    pub(crate) fn block_insert(&self, key: BlockKey, table: BlockTransfer) -> Arc<BlockTransfer> {
-        let table = Arc::new(table);
-        lock(&self.blocks).insert(key, Arc::clone(&table));
-        table
-    }
-
-    /// Tier-1 lookup.
+    /// Tier-1 lookup; a hit marks the entry touched.
     pub(crate) fn level_lookup(&self, key: &LevelKey) -> Option<SearchOutcome> {
-        let hit = lock(&self.levels).get(key).cloned();
-        match &hit {
-            Some(_) => self.level_hits.fetch_add(1, Ordering::Relaxed),
-            None => self.level_misses.fetch_add(1, Ordering::Relaxed),
+        let hit = lock(&self.levels).get_mut(key).map(|level| {
+            level.touched = true;
+            level.outcome.clone()
+        });
+        let counter = if hit.is_some() {
+            &self.level_hits
+        } else {
+            &self.level_misses
         };
+        counter.fetch_add(1, Ordering::Relaxed);
         hit
     }
 
-    /// Tier-1 insert.
+    /// Tier-1 insert; the entry starts touched.
     pub(crate) fn level_insert(&self, key: LevelKey, outcome: SearchOutcome) {
-        lock(&self.levels).insert(key, outcome);
+        lock(&self.levels)
+            .entry(key)
+            .and_modify(|level| level.touched = true)
+            .or_insert(Level {
+                outcome,
+                pinned: false,
+                touched: true,
+            });
+    }
+
+    /// A fresh memo holding this one's level outcomes, pinned, with
+    /// zeroed counters and no observability handle.
+    pub(crate) fn pinned_copy(&self) -> Self {
+        let levels = lock(&self.levels)
+            .iter()
+            .map(|(key, level)| {
+                let pinned = Level {
+                    outcome: level.outcome.clone(),
+                    pinned: true,
+                    touched: false,
+                };
+                (key.clone(), pinned)
+            })
+            .collect();
+        Self {
+            levels: Mutex::new(levels),
+            ..Self::default()
+        }
+    }
+
+    /// Drops every unpinned level outcome that was neither looked up
+    /// nor inserted since the previous trim, and starts a new round.
+    pub(crate) fn trim(&self) {
+        lock(&self.levels).retain(|_, level| {
+            let keep = level.pinned || level.touched;
+            level.touched = false;
+            keep
+        });
+    }
+
+    /// `(held, pinned)` level outcomes.
+    #[cfg(test)]
+    pub(crate) fn level_counts(&self) -> (usize, usize) {
+        let levels = lock(&self.levels);
+        (levels.len(), levels.values().filter(|l| l.pinned).count())
     }
 }
 

@@ -389,9 +389,10 @@ impl<'a> PlanRequest<'a> {
         self
     }
 
-    /// Enables or disables the shared search memo (default: enabled).
-    /// Caching never changes results — only how often cost cells, block
-    /// tables and whole levels are recomputed.
+    /// Enables or disables the search memo (default: enabled): level
+    /// outcomes kept across searches, and each level search's row and
+    /// block dedup. Caching never changes results — only how often cost
+    /// rows, block tables and whole levels are recomputed.
     #[must_use]
     pub fn caching(mut self, caching: bool) -> Self {
         self.caching = caching;

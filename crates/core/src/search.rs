@@ -28,9 +28,9 @@
 //! fork-to-junction conversion.
 
 use crate::error::PlanError;
-use crate::memo::{BlockKey, BlockTransfer, SearchCache};
+use crate::memo::{BlockTransfer, SearchCache};
 use accpar_cost::cache::{env_bits, scales_bits, FxHashMap, FxHasher};
-use accpar_cost::{layer_ratio_cost, CostModel, PairEnv, RatioSolver};
+use accpar_cost::{layer_ratio_cost, CostModel, LayerSig, PairEnv, RatioSolver};
 use accpar_dnn::iso::IsoClasses;
 use accpar_dnn::{TrainElem, TrainLayer, TrainView};
 use accpar_partition::{LayerPlan, NetworkPlan, PartitionType, Ratio, ShardScales};
@@ -79,8 +79,11 @@ pub struct SearchConfig {
     /// identical blocks within the level. A row is a pure function of
     /// (layer signature, scales, env, context), so collapsed plans are
     /// bit-identical to uncollapsed ones; only the work — and the
-    /// budget charge, one node per *class* — shrinks. On by default;
-    /// disable for A/B debugging (`--no-iso` on the CLI).
+    /// budget charge, one node per *class* — shrinks. (An attached
+    /// [`SearchCache`] shares rows and blocks within a level either
+    /// way; collapse also saves the per-layer charge and the dedup's
+    /// own walk.) On by default; disable for A/B debugging (`--no-iso`
+    /// on the CLI).
     pub collapse: bool,
 }
 
@@ -189,8 +192,10 @@ pub(crate) fn collapse_group_count(iso: &IsoClasses, scales: &[ShardScales]) -> 
 
 /// The value-complete per-layer equivalence-class key of one level, in
 /// weighted-layer-index order: two layers get equal keys exactly when
-/// the collapsed search would share a cost-table row between them at
-/// this level — same structural class ([`IsoClasses`], which folds in
+/// the collapsed search shares a cost-table row between them at this
+/// level without a memo (a memo's row dedup may also merge classes of
+/// equal [`LayerSig`] and scales) — same structural class
+/// ([`IsoClasses`], which folds in
 /// kind, shapes, meta-dims, attention stage and fan-in context), same
 /// shard scales, same pair environment (so a fault-degraded group
 /// splits every class of the levels it touches) and same search
@@ -335,29 +340,29 @@ pub struct LevelSearcher<'a> {
     config: &'a SearchConfig,
     env: &'a PairEnv,
     scales: Cow<'a, [ShardScales]>,
-    /// `group_of[layer]` → row group. Identity when collapse is off;
-    /// under collapse, class members share their representative's group
-    /// so stamping is an index lookup, not a row copy.
+    /// `group_of[layer]` → row. Identity when collapse is off and no
+    /// memo is attached; under collapse, class members share their
+    /// representative's row, and with a memo every unit shares the row
+    /// of its (layer signature, scale bits) — so stamping is an index
+    /// lookup, not a row copy.
     group_of: Vec<usize>,
-    /// `ratios[group][type index]` — read through [`Self::ratio_of`].
-    ratios: Vec<Vec<Ratio>>,
-    /// `layer_costs[group][type index]`, scalarized — read through
+    /// `ratios[row * k + type index]` — read through [`Self::ratio_of`].
+    ratios: Vec<Ratio>,
+    /// `layer_costs[row * k + type index]`, scalarized — read through
     /// [`Self::cost_of`].
-    layer_costs: Vec<Vec<f64>>,
-    /// Shared memo (block transfer tables); `None` disables memoization.
+    layer_costs: Vec<f64>,
+    /// The memo whose counters this level's row and block dedups feed;
+    /// `None` turns both dedups off.
     cache: Option<&'a SearchCache>,
-    /// Context hash for cache keys (cost config + solver + type set).
-    ctx: u64,
     /// Pooled DP buffers (see [`Scratch`]).
     scratch: RefCell<Scratch>,
-    /// Searcher-local block transfer memo for the collapse path when no
-    /// shared [`SearchCache`] is attached: identical blocks within one
+    /// The searcher's block transfer memo: identical blocks within one
     /// level (the 48 q|k|v blocks of a deep stack) compute one table.
-    /// With a shared cache the shared tier already dedupes.
+    /// On under collapse or with a memo attached.
     local_blocks: RefCell<FxHashMap<LocalBlockKey, std::sync::Arc<BlockTransfer>>>,
-    /// Element index → interned block shape id (collapse path only;
-    /// empty when collapse is off). Interned once at build so the DP
-    /// hot path keys its block memo without re-walking the branches.
+    /// Element index → interned block shape id; empty when the block
+    /// memo is off. Interned once at build so the DP hot path keys its
+    /// block memo without re-walking the branches.
     block_shape: Vec<u32>,
     /// Memoized [`Self::consume_cost`] evaluations (collapse path
     /// only), keyed `(prev ratio bits, prev type | ti | group of to)`.
@@ -365,12 +370,12 @@ pub struct LevelSearcher<'a> {
 }
 
 /// Key of the searcher-local block memo. Value-complete *within one
-/// searcher*: env, ctx and the model config are constant across the
-/// level, and a row-group id fixes both the member's layer class (which
-/// pins its [`accpar_cost::LayerSig`]) and its shard-scale bits — so
-/// branch structure over group ids plus entry states and fork size pin
-/// the transfer table exactly as the shared cache's `BlockKey` would,
-/// at a fraction of the build cost on the DP hot path.
+/// searcher*: env, context and the model config are constant across the
+/// level, and a row id fixes the member's [`LayerSig`] (through its
+/// layer class under collapse, directly under the memo's dedup) and its
+/// shard-scale bits — so branch structure over row ids plus entry
+/// states and fork size pin the transfer table exactly, at a fraction
+/// of a key over the layers themselves on the DP hot path.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct LocalBlockKey {
     /// Interned block shape id (see `LevelSearcher::block_shape`): two
@@ -414,11 +419,13 @@ impl<'a> LevelSearcher<'a> {
     }
 
     /// Like [`LevelSearcher::new`], with a thread budget for the cost
-    /// table construction, an optional shared [`SearchCache`], and a
-    /// cooperative [`Budget`]: the cost-table build charges one budget
-    /// node per layer row, worker closures run panic-isolated (retried
-    /// with seeded backoff, then degraded to the serial path), and every
-    /// scalarized cost is checked finite before it can enter a DP `min`.
+    /// table construction, an optional [`SearchCache`] (which switches
+    /// on the level's row and block dedups and takes their counters),
+    /// and a cooperative [`Budget`]: the cost-table build charges one
+    /// budget node per unit (layer, or class under collapse) before the
+    /// dedup, worker closures run panic-isolated (retried with seeded
+    /// backoff, then degraded to the serial path), and every scalarized
+    /// cost is checked finite before it can enter a DP `min`.
     /// `iso` optionally carries a precomputed isomorphism
     /// classification: it is a pure function of the view, so the
     /// hierarchy computes it once per plan and shares it across every
@@ -466,13 +473,13 @@ impl<'a> LevelSearcher<'a> {
         }
         // Isomorphism collapse: the units the table build iterates are
         // equivalence classes, not layers. A row is a pure function of
-        // (LayerSig, scales, env, ctx), and two class members agree on
-        // all four, so stamping the representative's row onto every
+        // (LayerSig, scales, env, context), and two class members agree
+        // on all four, so stamping the representative's row onto every
         // member is bitwise identical to recomputing it. Budget-class
-        // rule: one node is charged per *class* (before its memo
-        // consult), members stamp for free — so an armed budget travels
-        // exactly as far through the level whether the memo is warm or
-        // cold, but further than an uncollapsed build would.
+        // rule: one node is charged per *class* (before the row dedup),
+        // members stamp for free — so an armed budget travels exactly as
+        // far through the level with or without a memo, but further
+        // than an uncollapsed build would.
         let owned_iso;
         let groups: Option<Vec<usize>> = if config.collapse {
             let iso = match iso {
@@ -498,14 +505,40 @@ impl<'a> LevelSearcher<'a> {
             }
             None => (0..layers.len()).collect(),
         };
-        // One row per unit: solve the ratio and scalarize the cost for
-        // every admissible type, through the shared memo when present.
-        // The fallible map returns rows in unit order, so the tables
-        // are identical to a serial build. Each row charges one budget
-        // node *before* consulting the memo — budget semantics must not
-        // depend on cache warmth.
+        // Per-level row dedup (memo attached): the environment, cost
+        // configuration and solver are fixed for the level, so a row is
+        // a pure function of (LayerSig, scale bits) and units agreeing on
+        // both share one. `row_of[u]` numbers unit `u`'s row in
+        // first-occurrence order; `owner[r]` is the unit that builds row
+        // `r`. Without a memo every unit builds its own row.
+        let mut row_of: Vec<u32> = Vec::with_capacity(units.len());
+        let mut owner: Vec<u32> = Vec::with_capacity(units.len());
+        if cache.is_some() {
+            let cost_config = model.config();
+            let mut ids: FxHashMap<(LayerSig, [u64; 4]), u32> = FxHashMap::default();
+            for (u, &l) in units.iter().enumerate() {
+                let key = (
+                    LayerSig::of(layers[l], &cost_config),
+                    scales_bits(scales[l]),
+                );
+                let next = owner.len() as u32;
+                let id = *ids.entry(key).or_insert(next);
+                if id == next {
+                    owner.push(u as u32);
+                }
+                row_of.push(id);
+            }
+        } else {
+            row_of.extend(0..units.len() as u32);
+            owner.extend(0..units.len() as u32);
+        }
+        // Each unit charges one budget node *before* the dedup — budget
+        // semantics must not depend on which units share a row — and
+        // the owners solve the ratio and scalarize the cost for every
+        // admissible type. The fallible map returns rows in unit order,
+        // so the tables are identical to a serial build.
         let stop = AtomicU8::new(0);
-        let build_row = |l: usize, layer: &&'a TrainLayer| -> Option<(Vec<Ratio>, Vec<f64>)> {
+        let build_unit = |u: usize, &l: &usize| -> Option<Vec<(Ratio, f64)>> {
             if stop.load(Ordering::Relaxed) != 0 {
                 return None;
             }
@@ -518,32 +551,17 @@ impl<'a> LevelSearcher<'a> {
                 );
                 return None;
             }
-            Some(match cache {
-                Some(c) => match c.layer_row(
-                    model,
-                    &config.solver,
-                    layer,
-                    &config.types,
-                    env,
-                    scales[l],
-                ) {
-                    // A row hit is a stack copy — no heap traffic.
-                    Some(row) => row[..config.types.len()].iter().copied().unzip(),
-                    // Type sets wider than a row entry memoize per cell.
-                    None => config
-                        .types
-                        .iter()
-                        .map(|&t| c.layer_cell(model, &config.solver, layer, t, env, scales[l]))
-                        .unzip(),
-                },
-                None => config
+            if owner[row_of[u] as usize] as usize != u {
+                return Some(Vec::new());
+            }
+            Some(
+                config
                     .types
                     .iter()
-                    .map(|&t| layer_ratio_cost(model, &config.solver, layer, t, env, scales[l]))
-                    .unzip(),
-            })
+                    .map(|&t| layer_ratio_cost(model, &config.solver, layers[l], t, env, scales[l]))
+                    .collect(),
+            )
         };
-        let build_unit = |_u: usize, l: &usize| build_row(*l, &layers[*l]);
         let rows = match pool.try_par_map(&units, &RetryPolicy::default(), obs, build_unit) {
             Ok(rows) => rows,
             // A unit that panicked through every retry: degrade to the
@@ -561,32 +579,43 @@ impl<'a> LevelSearcher<'a> {
         if let Some(reason) = decode_stop(stop.load(Ordering::Relaxed)) {
             return Err(PlanError::Interrupted(reason));
         }
-        let rows: Vec<(Vec<Ratio>, Vec<f64>)> = rows
-            .into_iter()
-            .map(|row| row.expect("no stop reason was recorded, so every row completed"))
-            .collect();
-        if let Some(c) = cache {
-            c.note_cells((config.types.len() * units.len()) as u64);
+        // Owners come in unit order, which is row order.
+        let k = config.types.len();
+        let mut ratios = Vec::with_capacity(owner.len() * k);
+        let mut layer_costs = Vec::with_capacity(owner.len() * k);
+        for row in rows {
+            let row = row.expect("no stop reason was recorded, so every unit completed");
+            for (ratio, cost) in row {
+                ratios.push(ratio);
+                layer_costs.push(cost);
+            }
         }
-        // Stamp class rows across members by indirection: rows stay one
-        // per group and `group_of` maps every member onto its
-        // representative's row — bit-identical to a per-layer copy by
+        if let Some(c) = cache {
+            let solved = owner.len() as u64;
+            c.note_rows(&config.types, solved, units.len() as u64 - solved);
+            c.note_cells((k * units.len()) as u64);
+        }
+        // Stamp rows across members by indirection: `group_of` maps every
+        // layer onto its row — bit-identical to a per-layer copy by
         // purity (see above), without the O(layers) clone traffic.
-        let (ratios, layer_costs): (Vec<Vec<Ratio>>, Vec<Vec<f64>>) = rows.into_iter().unzip();
         let group_of: Vec<usize> = match groups {
-            Some(g) => {
+            Some(mut g) => {
                 let stamped = layers.len() - units.len();
                 if stamped > 0 && obs.enabled() {
                     obs.counter("iso.stamped_rows").add(stamped as u64);
                 }
+                // A collapse group id is its unit's index.
+                for gid in &mut g {
+                    *gid = row_of[*gid] as usize;
+                }
                 g
             }
-            None => (0..layers.len()).collect(),
+            None => row_of.iter().map(|&r| r as usize).collect(),
         };
         // Non-finite guard: a NaN would silently lose every `min`
         // comparison in the DP; reject it up front with a typed error.
-        for (l, &gid) in group_of.iter().enumerate() {
-            for (ti, &c) in layer_costs[gid].iter().enumerate() {
+        for (l, &row) in group_of.iter().enumerate() {
+            for (ti, &c) in layer_costs[row * k..(row + 1) * k].iter().enumerate() {
                 if !c.is_finite() {
                     return Err(PlanError::NonFinite(format!(
                         "layer {} scalarized to {c} under {}",
@@ -596,12 +625,11 @@ impl<'a> LevelSearcher<'a> {
                 }
             }
         }
-        // Intern each block element's branch-major group-id shape once:
+        // Intern each block element's branch-major row-id shape once:
         // two blocks share a shape id iff their branches list the same
-        // row groups in the same arrangement, which (groups folding
-        // class + scales, env/ctx constant per searcher) is exactly the
-        // sharing condition of the shared cache's `BlockKey`.
-        let block_shape: Vec<u32> = if config.collapse {
+        // rows in the same arrangement, which (env/context constant per
+        // searcher) is exactly when their transfer tables agree.
+        let block_shape: Vec<u32> = if config.collapse || cache.is_some() {
             let mut ids: FxHashMap<Vec<u32>, u32> = FxHashMap::default();
             view.elems()
                 .iter()
@@ -622,7 +650,13 @@ impl<'a> LevelSearcher<'a> {
         } else {
             Vec::new()
         };
-        let ctx = crate::memo::context_hash(&model.config(), &config.solver, &config.types);
+        // The dedup's buffers join the scratch pool, where the DP reuses
+        // them.
+        let mut scratch = Scratch::default();
+        for mut buf in [row_of, owner] {
+            buf.clear();
+            scratch.u32s.push(buf);
+        }
         Ok(Self {
             view,
             layers,
@@ -634,8 +668,7 @@ impl<'a> LevelSearcher<'a> {
             ratios,
             layer_costs,
             cache,
-            ctx,
-            scratch: RefCell::new(Scratch::default()),
+            scratch: RefCell::new(scratch),
             local_blocks: RefCell::new(FxHashMap::default()),
             block_shape,
             trans_memo: RefCell::new(FxHashMap::default()),
@@ -646,14 +679,14 @@ impl<'a> LevelSearcher<'a> {
     /// group indirection.
     #[inline]
     fn ratio_of(&self, l: usize, ti: usize) -> Ratio {
-        self.ratios[self.group_of[l]][ti]
+        self.ratios[self.group_of[l] * self.k() + ti]
     }
 
     /// Scalarized cost for layer `l` under type index `ti`, through the
     /// group indirection.
     #[inline]
     fn cost_of(&self, l: usize, ti: usize) -> f64 {
-        self.layer_costs[self.group_of[l]][ti]
+        self.layer_costs[self.group_of[l] * self.k() + ti]
     }
 
     /// Builds the searcher-local block memo key for the block at
@@ -1281,45 +1314,24 @@ impl<'a> LevelSearcher<'a> {
                     // The memoized path is only taken for free searches:
                     // a forced assignment changes branch costs without
                     // entering the key, so it always recomputes.
-                    let table = match (self.cache, forced) {
-                        (Some(cache), None) => {
-                            let entries = (!first).then_some(cur_info.as_slice());
-                            let key = BlockKey::new(
-                                branches,
-                                &self.scales,
-                                entries,
-                                fork_elems,
-                                self.env,
-                                self.ctx,
-                                &self.model.config(),
+                    let table = if forced.is_none() && !self.block_shape.is_empty() {
+                        let entries = (!first).then_some(cur_info.as_slice());
+                        let key = self.local_block_key(e, entries, fork_elems);
+                        let hit = self.local_blocks.borrow().get(&key).cloned();
+                        if let Some(c) = self.cache {
+                            c.note_block(hit.is_some());
+                        }
+                        Some(hit.unwrap_or_else(|| {
+                            let table = std::sync::Arc::new(
+                                self.block_transfer(branches, entries, fork_elems),
                             );
-                            Some(cache.block_lookup(&key).unwrap_or_else(|| {
-                                cache.block_insert(
-                                    key,
-                                    self.block_transfer(branches, entries, fork_elems),
-                                )
-                            }))
-                        }
-                        // Collapse without a shared cache: identical
-                        // blocks within this level share one table via
-                        // the searcher-local memo (same value-complete
-                        // key, same table build — bit-identical to both
-                        // the shared-cache and the direct path).
-                        (None, None) if self.config.collapse => {
-                            let entries = (!first).then_some(cur_info.as_slice());
-                            let key = self.local_block_key(e, entries, fork_elems);
-                            let hit = self.local_blocks.borrow().get(&key).cloned();
-                            Some(hit.unwrap_or_else(|| {
-                                let table = std::sync::Arc::new(self.block_transfer(
-                                    branches, entries, fork_elems,
-                                ));
-                                self.local_blocks
-                                    .borrow_mut()
-                                    .insert(key, std::sync::Arc::clone(&table));
-                                table
-                            }))
-                        }
-                        _ => None,
+                            self.local_blocks
+                                .borrow_mut()
+                                .insert(key, std::sync::Arc::clone(&table));
+                            table
+                        }))
+                    } else {
+                        None
                     };
                     // Slot → weighted-layer-index map for memoized
                     // assignments (branch-major, matching the table).
@@ -1892,6 +1904,204 @@ mod tests {
             LevelSearcher::new(&view, &model, &config, &env, Some(&bad_scales)).unwrap_err();
         assert!(matches!(err, PlanError::Mismatch(_)), "{err}");
         assert!(err.to_string().contains("shard scales"), "{err}");
+    }
+
+    /// Two shape-identical convs at different positions plus one that
+    /// differs.
+    fn conv_view() -> TrainView {
+        NetworkBuilder::new("t", FeatureShape::conv(8, 16, 14, 14))
+            .conv2d("c1", 16, 16, ConvGeometry::same(3))
+            .conv2d("c2", 16, 16, ConvGeometry::same(3))
+            .conv2d("c3", 16, 32, ConvGeometry::same(3))
+            .build()
+            .unwrap()
+            .train_view()
+            .unwrap()
+    }
+
+    /// The per-level row dedup is the memo's: attach one, and search
+    /// every layer as its own unit so only the dedup can share rows.
+    fn deduped<'a>(
+        view: &'a TrainView,
+        model: &'a CostModel,
+        config: &'a SearchConfig,
+        env: &'a PairEnv,
+        scales: Option<&'a [ShardScales]>,
+        memo: &'a SearchCache,
+    ) -> LevelSearcher<'a> {
+        assert!(!config.collapse);
+        LevelSearcher::with_budget_iso(
+            view,
+            model,
+            config,
+            env,
+            scales,
+            Pool::serial(),
+            Some(memo),
+            &Budget::unlimited(),
+            &accpar_obs::Obs::off(),
+            None,
+        )
+        .unwrap()
+    }
+
+    fn uncollapsed() -> SearchConfig {
+        SearchConfig {
+            collapse: false,
+            ..SearchConfig::accpar()
+        }
+    }
+
+    #[test]
+    fn deduped_rows_match_the_uncached_computation_bitwise() {
+        let model = CostModel::new(CostConfig::default());
+        let config = uncollapsed();
+        let env = hetero_env();
+        let view = conv_view();
+        let memo = SearchCache::new();
+        let s = deduped(&view, &model, &config, &env, None, &memo);
+        for layer in view.layers() {
+            for (ti, &t) in config.types.iter().enumerate() {
+                let fresh =
+                    layer_ratio_cost(&model, &config.solver, layer, t, &env, ShardScales::full());
+                let l = layer.index();
+                assert_eq!(
+                    fresh.0.value().to_bits(),
+                    s.ratio_of(l, ti).value().to_bits()
+                );
+                assert_eq!(fresh.1.to_bits(), s.cost_of(l, ti).to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn shape_identical_layers_share_a_row() {
+        let model = CostModel::new(CostConfig::default());
+        let config = uncollapsed();
+        let env = hetero_env();
+        let view = conv_view();
+        let memo = SearchCache::new();
+        let s = deduped(&view, &model, &config, &env, None, &memo);
+        // c1 and c2 share signatures; c3 differs: 2 rows × 3 types.
+        assert_eq!(s.group_of, [0, 0, 1]);
+        let stats = memo.stats();
+        assert_eq!((stats.layer_misses, stats.layer_hits), (6, 3));
+        assert_eq!(stats.cells_requested, 9);
+        assert!((stats.hit_rate() - 3.0 / 9.0).abs() < 1e-12);
+        // Without a memo every layer solves its own row.
+        let plain = LevelSearcher::new(&view, &model, &config, &env, None).unwrap();
+        assert_eq!(plain.group_of, [0, 1, 2]);
+    }
+
+    #[test]
+    fn skip_first_backward_gives_layer_zero_its_own_row() {
+        let model = CostModel::new(CostConfig {
+            skip_first_backward: true,
+            ..CostConfig::default()
+        });
+        let config = uncollapsed();
+        let env = hetero_env();
+        // Two shape-identical compute-heavy FC layers, so the skipped
+        // backward phase actually moves the makespan.
+        let view = fc_view(4096, &[1024, 1024, 1024]);
+        let memo = SearchCache::new();
+        let s = deduped(&view, &model, &config, &env, None, &memo);
+        // fc0 (index 0, backward skipped) must not alias fc1.
+        assert_eq!(s.group_of, [0, 1]);
+        assert_eq!((memo.stats().layer_misses, memo.stats().layer_hits), (6, 0));
+        let ti = 0;
+        let (c0, c1) = (s.cost_of(0, ti), s.cost_of(1, ti));
+        assert!(c0 <= c1, "skipping a phase can never cost more");
+        // The makespan may be communication-bound (identical for both),
+        // but the compute-bearing side must strictly shrink.
+        let layers: Vec<&TrainLayer> = view.layers().collect();
+        let t = config.types[ti];
+        let full = ShardScales::full();
+        let p0 = model.layer_cost(layers[0], t, s.ratio_of(0, ti), &env, full);
+        let p1 = model.layer_cost(layers[1], t, s.ratio_of(1, ti), &env, full);
+        assert!(
+            p0.b < p1.b,
+            "skipping the backward phase must cut compute: {p0} vs {p1}"
+        );
+    }
+
+    #[test]
+    fn distinct_scale_bits_split_a_row() {
+        let model = CostModel::new(CostConfig::default());
+        let config = uncollapsed();
+        let env = hetero_env();
+        let view = conv_view();
+        let full = ShardScales::full();
+        let half = ShardScales {
+            f_in: 0.5,
+            f_out: 0.5,
+            weight: 0.5,
+            flops: 0.5,
+        };
+        // c1 and c2 share a signature but not their scales.
+        let split = [full, half, full];
+        let memo = SearchCache::new();
+        let s = deduped(&view, &model, &config, &env, Some(&split), &memo);
+        assert_eq!(s.group_of, [0, 1, 2]);
+        assert_eq!((memo.stats().layer_misses, memo.stats().layer_hits), (9, 0));
+        let halved = [half, half, full];
+        let memo = SearchCache::new();
+        let s = deduped(&view, &model, &config, &env, Some(&halved), &memo);
+        assert_eq!(s.group_of, [0, 0, 1]);
+        assert_eq!((memo.stats().layer_misses, memo.stats().layer_hits), (6, 3));
+    }
+
+    #[test]
+    fn the_block_memo_builds_one_table_per_distinct_block_either_way() {
+        // Two identical single-conv residual blocks after the stem.
+        let view = NetworkBuilder::new("r", FeatureShape::conv(16, 8, 8, 8))
+            .conv2d("stem", 8, 8, ConvGeometry::same(3))
+            .residual(
+                vec![Layer::conv2d("a", 8, 8, ConvGeometry::same(3))],
+                vec![],
+            )
+            .residual(
+                vec![Layer::conv2d("b", 8, 8, ConvGeometry::same(3))],
+                vec![],
+            )
+            .build()
+            .unwrap()
+            .train_view()
+            .unwrap();
+        let model = CostModel::new(CostConfig::default());
+        let env = hetero_env();
+        let mut tables = Vec::new();
+        for collapse in [true, false] {
+            let config = SearchConfig {
+                collapse,
+                ..SearchConfig::accpar()
+            };
+            let memo = SearchCache::new();
+            let s = LevelSearcher::with_budget_iso(
+                &view,
+                &model,
+                &config,
+                &env,
+                None,
+                Pool::serial(),
+                Some(&memo),
+                &Budget::unlimited(),
+                &accpar_obs::Obs::off(),
+                None,
+            )
+            .unwrap();
+            let outcome = s.search();
+            let stats = memo.stats();
+            tables.push((stats.block_hits, stats.block_misses));
+            assert_eq!(
+                outcome,
+                LevelSearcher::new(&view, &model, &config, &env, None)
+                    .unwrap()
+                    .search()
+            );
+        }
+        // Both blocks enter at the same states: one table, one reuse.
+        assert_eq!(tables, [(1, 1), (1, 1)]);
     }
 
     #[test]

@@ -3,9 +3,9 @@
 //!
 //! A [`Supervisor`] is a client of one [`PlanRequest`](crate::PlanRequest):
 //! [`Planner::supervise`] takes the request's training view, bisected
-//! tree, search memo, cost model, solver, simulator configuration,
-//! isomorphism switch, observability handle, thread budget and
-//! [`Budget`], and serves the request's own healthy AccPar plan. It then
+//! tree, cost model, solver, simulator configuration, isomorphism
+//! switch, observability handle, thread budget and [`Budget`], and
+//! serves the request's own healthy AccPar plan. It then
 //! consumes [`HealthEvent`]s ([`observe`](Supervisor::observe)) —
 //! degradations, failures, recoveries, bandwidth jitter — folding each
 //! into a running [`FaultModel`] with set semantics (the latest event
@@ -28,10 +28,10 @@
 //!    microseconds; only bound misses pay for an exact simulation.
 //! 2. **Replan** — warm-start the never-worse
 //!    [`replan`](mod@crate::replan) path from the *healthy baseline
-//!    plan* through the request's persistent [`SearchCache`], each
-//!    attempt under a [`fresh`](Budget::fresh) copy of the request's
-//!    budget (a budget stop yields a feasible partial plan, not an
-//!    error). For batches
+//!    plan* through the supervisor's own [`SearchCache`] (see *Memory*
+//!    below), each attempt under a [`fresh`](Budget::fresh) copy of the
+//!    request's budget (a budget stop yields a feasible partial plan,
+//!    not an error). For batches
 //!    that can only *improve* health, the fresh plan is **promoted**
 //!    only when it beats the incumbent by
 //!    [`promote_margin`](SuperviseConfig::promote_margin) — the
@@ -49,6 +49,21 @@
 //!
 //! The supervisor never panics on a health event and never abandons a
 //! servable plan: every failure mode lands on a rung above "crash".
+//!
+//! # Memory
+//!
+//! Each supervisor owns its search memo. [`Planner::supervise`] copies
+//! the planner memo's level outcomes into it — the healthy plan's
+//! levels, which replans hit wherever a fault leaves a subtree
+//! untouched — and those copies stay pinned. Before each decision's
+//! search, the supervisor drops every unpinned level outcome that the
+//! previous decision's search neither looked up nor inserted. A search
+//! touches at most one outcome per cut of its tree, so the memo holds
+//! at most the pinned outcomes plus twice the tree's cut count however
+//! long the supervisor runs; supervisors built from one planner never
+//! trim each other's entries, and the planner's memo is left alone.
+//! The memo only saves work: every decision equals that of a
+//! supervisor built with [`caching(false)`](crate::PlanRequest::caching).
 //!
 //! # Terminal convergence
 //!
@@ -91,7 +106,6 @@ use accpar_partition::PlanTree;
 use accpar_runtime::{Budget, Pool, RetryPolicy};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
 use std::thread;
 use std::time::Instant;
 
@@ -296,9 +310,10 @@ pub struct Supervisor {
     view: TrainView,
     array: AcceleratorArray,
     tree: GroupTree,
-    /// The request's search memo (`None` with caching off), warm across
-    /// decisions.
-    memo: Option<Arc<SearchCache>>,
+    /// The supervisor's own search memo (`None` with caching off): the
+    /// planner's level outcomes, pinned, plus what the last two
+    /// searching decisions touched (see the module docs' *Memory*).
+    memo: Option<SearchCache>,
     pool: Pool,
     /// The request's budget; each replan attempt runs under a fresh
     /// copy.
@@ -365,7 +380,11 @@ impl Planner<'_> {
             view: self.view.clone(),
             array: self.request.array.clone(),
             tree: self.tree.clone(),
-            memo: self.request.caching.then(|| Arc::clone(&self.memo)),
+            memo: self.request.caching.then(|| {
+                let memo = self.memo.pinned_copy();
+                memo.observe(&self.request.knobs.obs);
+                memo
+            }),
             pool: Pool::new(self.threads()),
             budget: self.request.budget.clone(),
             config,
@@ -702,6 +721,9 @@ impl Supervisor {
     /// error fails at once; only a caught panic is retried, after the
     /// policy's deterministic backoff.
     fn attempt_replan(&mut self, obs: &Obs) -> Result<ReplanOutcome, PlanError> {
+        if let Some(memo) = &self.memo {
+            memo.trim();
+        }
         let retry = self.config.retry;
         let mut attempt = 0;
         loop {
@@ -710,7 +732,7 @@ impl Supervisor {
                 view: &self.view,
                 array: &self.array,
                 tree: &self.tree,
-                memo: self.memo.as_deref(),
+                memo: self.memo.as_ref(),
                 pool: self.pool,
                 budget: self.budget.fresh(),
             };
@@ -844,6 +866,7 @@ mod tests {
     use accpar_dnn::zoo;
     use accpar_hw::{AcceleratorSpec, HealthEventKind};
     use accpar_obs::Collector;
+    use std::sync::Arc;
 
     /// A request for `net` on `array` at depth 2, planned on `threads`
     /// threads.
@@ -1222,6 +1245,50 @@ mod tests {
             faulted.supervise(SuperviseConfig::default()),
             Err(PlanError::Config(_))
         ));
+    }
+
+    #[test]
+    fn the_memo_stays_bounded_and_never_changes_a_decision() {
+        let net = zoo::lenet(64).unwrap();
+        let array = AcceleratorArray::heterogeneous_tpu(4, 4);
+        let start = |caching: bool| {
+            Planner::builder(&net, &array)
+                .threads(1)
+                .caching(caching)
+                .build()
+                .unwrap()
+                .supervise(SuperviseConfig::default())
+                .unwrap()
+        };
+        let mut cached = start(true);
+        let mut plain = start(false);
+        assert!(plain.memo.is_none());
+        let counts = |sup: &Supervisor| sup.memo.as_ref().unwrap().level_counts();
+        let (held, pinned) = counts(&cached);
+        assert_eq!(held, pinned);
+        // The healthy plan's searched levels: 7 nodes, 2 of them replayed
+        // twin halves.
+        assert_eq!(pinned, 5);
+        let bound = pinned + 2 * cached.cut_count();
+        let schedule =
+            HealthSchedule::random(2027, cached.leaf_count(), cached.cut_count(), 2000).unwrap();
+        let mut peak = 0;
+        for &event in schedule.events() {
+            cached.observe(event).unwrap();
+            plain.observe(event).unwrap();
+            assert_eq!(cached.decisions().len(), plain.decisions().len());
+            assert_eq!(cached.decisions().last(), plain.decisions().last());
+            let (held, still_pinned) = counts(&cached);
+            assert_eq!(still_pinned, pinned);
+            assert!(held <= bound, "{held} level outcomes held, bound {bound}");
+            peak = peak.max(held);
+        }
+        cached.settle().unwrap();
+        plain.settle().unwrap();
+        assert_eq!(cached.report(), plain.report());
+        assert_eq!(cached.plan(), plain.plan());
+        assert!(cached.report().replans > 1000);
+        assert!(peak > pinned, "the memo never kept a replan's levels");
     }
 
     #[test]

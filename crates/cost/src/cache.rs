@@ -1,12 +1,11 @@
-//! Memoized per-(layer, type) ratio/cost tables.
+//! Canonical, bit-exact keys for memoizing the cost tables.
 //!
 //! Networks repeat themselves: VGG nets stack shape-identical conv
-//! layers, ResNets stack identical bottleneck blocks, and the
-//! hierarchical planner revisits the *same* layer under the same shard
-//! scales across sibling subtrees and replan candidates. The ratio
-//! solve (Eq. 10) and the scalarized layer cost (Eq. 7 + Eq. 8) are
-//! pure functions of the layer's geometry and the evaluation context,
-//! so [`CostCache`] memoizes them under a **canonical key**:
+//! layers, ResNets stack identical bottleneck blocks. The ratio solve
+//! (Eq. 10) and the scalarized layer cost (Eq. 7 + Eq. 8) —
+//! [`layer_ratio_cost`] — are pure functions of the layer's geometry
+//! and the evaluation context, so a search may compute them once per
+//! distinct input. This module defines what "distinct" means:
 //!
 //! * [`LayerSig`] — the layer's geometry (kind/window, `D_i`, `D_o`,
 //!   feature-map and kernel shapes) plus whether the model skips this
@@ -15,30 +14,29 @@
 //!   must share one entry); the one position-dependent cost rule —
 //!   [`CostConfig::skip_first_backward`] applies only to layer 0 — is
 //!   folded into the `skip_backward` bit instead.
-//! * the [`PartitionType`] under evaluation;
 //! * [`ShardScales`] and [`PairEnv`], canonicalized via [`f64::to_bits`]
-//!   (bit-exact: two environments hash alike iff every capability and
-//!   link bandwidth is bitwise identical — a `FaultModel`-degraded tree
-//!   therefore never aliases a healthy one);
-//! * the [`CostConfig`] and [`RatioSolver`] in effect.
+//!   ([`scales_bits`], [`env_bits`]; bit-exact: two environments hash
+//!   alike iff every capability and link bandwidth is bitwise identical
+//!   — a `FaultModel`-degraded tree therefore never aliases a healthy
+//!   one).
 //!
-//! Because every input is captured bit-exactly, a cache hit returns the
+//! Because every input is captured bit-exactly, a memo hit returns the
 //! exact `f64`s a fresh computation would — callers stay bit-identical
-//! with and without the cache.
+//! with and without memoization. The memos themselves live in the
+//! planner (`accpar_core`): one layer row per distinct
+//! (`LayerSig`, scale bits) within one level search, where the pair
+//! environment, cost configuration and solver are fixed.
 
-use crate::model::{CostConfig, CostModel, Objective, PairEnv};
+use crate::model::{CostConfig, CostModel, PairEnv};
 use crate::ratio::RatioSolver;
 use accpar_dnn::{AttnStage, TrainLayer, WeightedKind};
 use accpar_partition::{PartitionType, Ratio, ShardScales};
 use accpar_tensor::{FeatureShape, KernelShape};
-use accpar_obs::{Counter, Histo, Obs};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
 
 // The memo maps' hasher lives in `accpar-tensor` (the workspace's
 // lowest layer) so structural passes in `accpar-dnn` can share it;
-// re-exported here because every cache key in this module hashes
-// through it and downstream crates import it from this path.
+// re-exported here because the keys of this module are hashed through
+// it and downstream crates import it from this path.
 pub use accpar_tensor::hash::{FxBuildHasher, FxHashMap, FxHasher};
 
 /// The canonical, position-independent signature of a weighted layer
@@ -105,69 +103,9 @@ pub fn scales_bits(scales: ShardScales) -> [u64; 4] {
     ]
 }
 
-/// The evaluation-context part of a key: cost configuration and ratio
-/// policy, canonicalized.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct CtxKey {
-    format: accpar_tensor::DataFormat,
-    comm_only: bool,
-    roofline: bool,
-    solver_tag: u8,
-    solver_ratio: u64,
-}
-
-impl CtxKey {
-    fn of(config: &CostConfig, solver: &RatioSolver) -> Self {
-        let (solver_tag, solver_ratio) = match solver {
-            RatioSolver::PaperLinear => (0u8, 0u64),
-            RatioSolver::BalancedExact => (1, 0),
-            RatioSolver::Fixed(r) => (2, r.value().to_bits()),
-        };
-        Self {
-            format: config.format,
-            comm_only: config.objective == Objective::CommOnly,
-            roofline: config.roofline,
-            solver_tag,
-            solver_ratio,
-        }
-    }
-}
-
-/// Full key of one memoized (layer, type) table cell.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct CellKey {
-    sig: LayerSig,
-    ptype: PartitionType,
-    scales: [u64; 4],
-    env: [u64; 10],
-    ctx: CtxKey,
-}
-
-/// Full key of one memoized layer *row*: every admissible type's cell at
-/// once. Rows are keyed and locked once per layer instead of once per
-/// cell, which matters when the cells themselves are sub-microsecond.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct RowKey {
-    sig: LayerSig,
-    /// The admissible types, in evaluation order (padded; [`ROW_WIDTH`]
-    /// bounds the arity).
-    types: [Option<PartitionType>; ROW_WIDTH],
-    scales: [u64; 4],
-    env: [u64; 10],
-    ctx: CtxKey,
-}
-
-/// Maximum number of admissible partition types a row memoizes — the
-/// full AccPar space is `{TypeI, TypeII, TypeIII}`.
-pub const ROW_WIDTH: usize = 3;
-
-/// One memoized row: the first `n` cells hold the (ratio, cost) per
-/// requested type, in request order; the rest is padding. `Copy`, so a
-/// row hit moves no heap memory.
-pub type Row = [(Ratio, f64); ROW_WIDTH];
-
-/// Solves the ratio and scalarized cost of one (layer, type) table cell
-/// — the uncached computation [`CostCache`] memoizes.
+/// Solves the ratio and scalarized cost of one (layer, type) table
+/// cell: a pure function of ([`LayerSig`], type, scales, env, cost
+/// configuration, solver).
 #[must_use]
 pub fn layer_ratio_cost(
     model: &CostModel,
@@ -180,372 +118,4 @@ pub fn layer_ratio_cost(
     let ratio = solver.solve(model, layer, ptype, env, scales);
     let cost = model.scalarize(model.layer_cost(layer, ptype, ratio, env, scales));
     (ratio, cost)
-}
-
-/// A concurrent memo of (layer, type) → (ratio, scalar cost) table
-/// cells (see the [module docs](self)).
-///
-/// Thread-safe: lookups take a [`Mutex`]; the computation itself runs
-/// outside the lock, so concurrent misses of the same key may compute
-/// twice but insert identical values (every input is captured
-/// bit-exactly in the key).
-#[derive(Debug, Default)]
-pub struct CostCache {
-    cells: Mutex<FxHashMap<CellKey, (Ratio, f64)>>,
-    rows: Mutex<FxHashMap<RowKey, Row>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    obs: OnceLock<CacheObs>,
-}
-
-/// Pre-registered metric handles the cache updates on its hot path —
-/// obtained once at [`CostCache::observe`] so lookups never touch the
-/// registry locks.
-#[derive(Debug)]
-struct CacheObs {
-    hits: Counter,
-    misses: Counter,
-    /// One eval counter per partition type, indexed in
-    /// [`PartitionType::ALL`] order.
-    evals: [Counter; ROW_WIDTH],
-    solve_ns: Histo,
-}
-
-impl CacheObs {
-    fn of(obs: &Obs) -> Self {
-        CacheObs {
-            hits: obs.counter("cost.cache.hits"),
-            misses: obs.counter("cost.cache.misses"),
-            evals: [
-                obs.counter("cost.evals.type_i"),
-                obs.counter("cost.evals.type_ii"),
-                obs.counter("cost.evals.type_iii"),
-            ],
-            solve_ns: obs.histogram("cost.solve_ns"),
-        }
-    }
-
-    fn eval(&self, ptype: PartitionType) -> &Counter {
-        let i = PartitionType::ALL
-            .iter()
-            .position(|&t| t == ptype)
-            .unwrap_or(0);
-        &self.evals[i]
-    }
-}
-
-impl CostCache {
-    /// An empty cache.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Attaches an observability handle: registers hit/miss counters,
-    /// per-partition-type eval counters, and a solve-time histogram
-    /// under `cost.*`, updated on every subsequent lookup. A no-op for
-    /// a disabled handle; the first enabled handle wins.
-    pub fn observe(&self, obs: &Obs) {
-        if obs.enabled() {
-            let _ = self.obs.set(CacheObs::of(obs));
-        }
-    }
-
-    /// The memoized version of [`layer_ratio_cost`]. The `skip_backward`
-    /// position rule is resolved through [`LayerSig::of`] so the first
-    /// layer under [`CostConfig::skip_first_backward`] gets its own
-    /// entry while shape-identical interior layers share one.
-    #[must_use]
-    pub fn layer_ratio_cost(
-        &self,
-        model: &CostModel,
-        solver: &RatioSolver,
-        layer: &TrainLayer,
-        ptype: PartitionType,
-        env: &PairEnv,
-        scales: ShardScales,
-    ) -> (Ratio, f64) {
-        let config = model.config();
-        let key = CellKey {
-            sig: LayerSig::of(layer, &config),
-            ptype,
-            scales: scales_bits(scales),
-            env: env_bits(env),
-            ctx: CtxKey::of(&config, solver),
-        };
-        if let Some(&v) = self.lock().get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            if let Some(o) = self.obs.get() {
-                o.hits.inc();
-            }
-            return v;
-        }
-        let v = {
-            let _t = self.obs.get().map(|o| o.solve_ns.timer());
-            layer_ratio_cost(model, solver, layer, ptype, env, scales)
-        };
-        self.lock().insert(key, v);
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        if let Some(o) = self.obs.get() {
-            o.misses.inc();
-            o.eval(ptype).inc();
-        }
-        v
-    }
-
-    /// The row-granular version of [`CostCache::layer_ratio_cost`]: all
-    /// of `types`' cells for one layer under a single key build and a
-    /// single map access. The first `types.len()` cells of the returned
-    /// [`Row`] hold one `(ratio, cost)` per type, in `types` order,
-    /// bitwise identical to [`layer_ratio_cost`]; the rest is padding.
-    ///
-    /// Rows and single cells are memoized independently (a row hit does
-    /// not consult the cell map and vice versa); hit/miss counters
-    /// advance by the number of cells served either way. Returns `None`
-    /// for type sets wider than the full AccPar space ([`ROW_WIDTH`]) —
-    /// fall back to per-cell lookups.
-    #[must_use]
-    pub fn layer_row(
-        &self,
-        model: &CostModel,
-        solver: &RatioSolver,
-        layer: &TrainLayer,
-        types: &[PartitionType],
-        env: &PairEnv,
-        scales: ShardScales,
-    ) -> Option<Row> {
-        if types.len() > ROW_WIDTH {
-            return None;
-        }
-        let config = model.config();
-        let mut padded = [None; ROW_WIDTH];
-        for (slot, &t) in padded.iter_mut().zip(types) {
-            *slot = Some(t);
-        }
-        let key = RowKey {
-            sig: LayerSig::of(layer, &config),
-            types: padded,
-            scales: scales_bits(scales),
-            env: env_bits(env),
-            ctx: CtxKey::of(&config, solver),
-        };
-        let cached = self
-            .rows
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .get(&key)
-            .copied();
-        if let Some(row) = cached {
-            self.hits.fetch_add(types.len() as u64, Ordering::Relaxed);
-            if let Some(o) = self.obs.get() {
-                o.hits.add(types.len() as u64);
-            }
-            return Some(row);
-        }
-        let mut row: Row = [(Ratio::EQUAL, 0.0); ROW_WIDTH];
-        for (cell, &t) in row.iter_mut().zip(types) {
-            let _t = self.obs.get().map(|o| o.solve_ns.timer());
-            *cell = layer_ratio_cost(model, solver, layer, t, env, scales);
-        }
-        self.rows
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .insert(key, row);
-        self.misses.fetch_add(types.len() as u64, Ordering::Relaxed);
-        if let Some(o) = self.obs.get() {
-            o.misses.add(types.len() as u64);
-            for &t in types {
-                o.eval(t).inc();
-            }
-        }
-        Some(row)
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, FxHashMap<CellKey, (Ratio, f64)>> {
-        self.cells.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    /// Number of lookups answered from the memo.
-    #[must_use]
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Number of lookups that had to compute.
-    #[must_use]
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    /// Distinct cells currently memoized.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.lock().len()
-    }
-
-    /// Whether nothing has been memoized yet.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.lock().is_empty()
-    }
-
-    /// `hits / (hits + misses)`, or 0 before the first lookup.
-    #[must_use]
-    pub fn hit_rate(&self) -> f64 {
-        let h = self.hits() as f64;
-        let m = self.misses() as f64;
-        if h + m == 0.0 {
-            0.0
-        } else {
-            h / (h + m)
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use accpar_dnn::NetworkBuilder;
-    use accpar_hw::{AcceleratorArray, GroupTree};
-    use accpar_tensor::{ConvGeometry, FeatureShape};
-
-    fn hetero_env() -> PairEnv {
-        let tree = GroupTree::bisect(&AcceleratorArray::heterogeneous_tpu(4, 4), 1).unwrap();
-        PairEnv::from_node(tree.root()).unwrap()
-    }
-
-    /// Two shape-identical convs at different positions plus one that
-    /// differs.
-    fn layers() -> Vec<TrainLayer> {
-        NetworkBuilder::new("t", FeatureShape::conv(8, 16, 14, 14))
-            .conv2d("c1", 16, 16, ConvGeometry::same(3))
-            .conv2d("c2", 16, 16, ConvGeometry::same(3))
-            .conv2d("c3", 16, 32, ConvGeometry::same(3))
-            .build()
-            .unwrap()
-            .train_view()
-            .unwrap()
-            .layers()
-            .cloned()
-            .collect()
-    }
-
-    #[test]
-    fn cached_values_match_the_uncached_computation_bitwise() {
-        let model = CostModel::new(CostConfig::default());
-        let solver = RatioSolver::default();
-        let env = hetero_env();
-        let cache = CostCache::new();
-        for layer in &layers() {
-            for t in PartitionType::ALL {
-                let fresh = layer_ratio_cost(&model, &solver, layer, t, &env, ShardScales::full());
-                let cached =
-                    cache.layer_ratio_cost(&model, &solver, layer, t, &env, ShardScales::full());
-                assert_eq!(fresh.0.value().to_bits(), cached.0.value().to_bits());
-                assert_eq!(fresh.1.to_bits(), cached.1.to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn shape_identical_layers_share_an_entry() {
-        let model = CostModel::new(CostConfig::default());
-        let solver = RatioSolver::default();
-        let env = hetero_env();
-        let cache = CostCache::new();
-        let layers = layers();
-        for layer in &layers {
-            for t in PartitionType::ALL {
-                let _ = cache.layer_ratio_cost(&model, &solver, layer, t, &env, ShardScales::full());
-            }
-        }
-        // c1 and c2 share signatures; c3 differs: 2 × 3 types distinct.
-        assert_eq!(cache.len(), 6);
-        assert_eq!(cache.misses(), 6);
-        assert_eq!(cache.hits(), 3);
-        assert!((cache.hit_rate() - 3.0 / 9.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn skip_first_backward_splits_the_first_layer_off() {
-        let config = CostConfig {
-            skip_first_backward: true,
-            ..CostConfig::default()
-        };
-        let model = CostModel::new(config);
-        let solver = RatioSolver::default();
-        let env = hetero_env();
-        let cache = CostCache::new();
-        // Two shape-identical compute-heavy FC layers, so the skipped
-        // backward phase actually moves the makespan.
-        let layers: Vec<TrainLayer> = NetworkBuilder::new("t", FeatureShape::fc(4096, 1024))
-            .linear("fc1", 1024, 1024)
-            .linear("fc2", 1024, 1024)
-            .build()
-            .unwrap()
-            .train_view()
-            .unwrap()
-            .layers()
-            .cloned()
-            .collect();
-        // fc1 (index 0, backward skipped) must not alias fc2.
-        let t = PartitionType::TypeI;
-        let c1 = cache.layer_ratio_cost(&model, &solver, &layers[0], t, &env, ShardScales::full());
-        let c2 = cache.layer_ratio_cost(&model, &solver, &layers[1], t, &env, ShardScales::full());
-        assert_eq!(cache.misses(), 2);
-        assert_eq!(cache.hits(), 0);
-        assert!(c1.1 <= c2.1, "skipping a phase can never cost more");
-        // The makespan may be communication-bound (identical for both),
-        // but the compute-bearing side must strictly shrink.
-        let pc1 = model.layer_cost(&layers[0], t, c1.0, &env, ShardScales::full());
-        let pc2 = model.layer_cost(&layers[1], t, c2.0, &env, ShardScales::full());
-        assert!(
-            pc1.b < pc2.b,
-            "skipping the backward phase must cut compute: {pc1} vs {pc2}"
-        );
-    }
-
-    #[test]
-    fn distinct_scales_envs_and_contexts_get_distinct_entries() {
-        let model = CostModel::new(CostConfig::default());
-        let env = hetero_env();
-        let degraded = PairEnv {
-            caps_a: accpar_hw::GroupCaps {
-                flops: env.caps_a.flops * 0.5,
-                ..env.caps_a
-            },
-            ..env
-        };
-        let cache = CostCache::new();
-        let layer = &layers()[0];
-        let t = PartitionType::TypeII;
-        let half = ShardScales {
-            f_in: 0.5,
-            f_out: 0.5,
-            weight: 0.5,
-            flops: 0.5,
-        };
-        let solver = RatioSolver::default();
-        let _ = cache.layer_ratio_cost(&model, &solver, layer, t, &env, ShardScales::full());
-        let _ = cache.layer_ratio_cost(&model, &solver, layer, t, &env, half);
-        let _ = cache.layer_ratio_cost(&model, &solver, layer, t, &degraded, ShardScales::full());
-        let _ = cache.layer_ratio_cost(
-            &model,
-            &solver,
-            layer,
-            t,
-            &env,
-            ShardScales::full(),
-        );
-        let _ = cache.layer_ratio_cost(
-            &model,
-            &RatioSolver::Fixed(Ratio::EQUAL),
-            layer,
-            t,
-            &env,
-            ShardScales::full(),
-        );
-        assert_eq!(cache.misses(), 4, "scales, env and solver all key");
-        assert_eq!(cache.hits(), 1);
-    }
 }

@@ -47,6 +47,6 @@ pub mod compute;
 mod model;
 pub mod ratio;
 
-pub use cache::{layer_ratio_cost, CostCache, LayerSig};
+pub use cache::{layer_ratio_cost, LayerSig};
 pub use model::{CostConfig, CostModel, NonFiniteCost, Objective, PairCost, PairEnv};
 pub use ratio::RatioSolver;

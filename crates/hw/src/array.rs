@@ -1,3 +1,4 @@
+use crate::group::Share;
 use crate::spec::AcceleratorSpec;
 use std::fmt;
 
@@ -89,22 +90,23 @@ impl AcceleratorArray {
         self.boards.windows(2).all(|w| w[0] == w[1])
     }
 
-    /// Maximum hierarchical bisection depth: boards halve until single,
-    /// then cores halve until single.
+    /// Maximum hierarchical bisection depth: the deepest
+    /// [`GroupTree::bisect`](crate::GroupTree::bisect) accepts, derived
+    /// from its own split rule — board lists split (at the type boundary
+    /// first) until single, then cores halve until single, and the
+    /// shallowest branch bounds the tree. 0 for an empty array.
     #[must_use]
     pub fn max_levels(&self) -> usize {
-        if self.boards.is_empty() {
-            return 0;
-        }
-        let board_levels = usize::BITS as usize - 1 - self.boards.len().leading_zeros() as usize;
-        let min_cores = self
+        let shares: Vec<Share> = self
             .boards
             .iter()
-            .map(AcceleratorSpec::cores)
-            .min()
-            .unwrap_or(1);
-        let core_levels = usize::BITS as usize - 1 - min_cores.leading_zeros() as usize;
-        board_levels + core_levels
+            .enumerate()
+            .map(|(board, spec)| Share {
+                board,
+                cores: spec.cores(),
+            })
+            .collect();
+        crate::group::max_depth(&shares, self)
     }
 }
 

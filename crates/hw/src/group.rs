@@ -460,42 +460,55 @@ fn build(node: &mut GroupNode, array: &AcceleratorArray, levels: usize) -> Resul
     Ok(())
 }
 
+/// Where [`split`] cuts a group: between boards at an index of the
+/// share list, or through the single board's cores into two shares.
+enum Cut {
+    Boards(usize),
+    Cores(Share, Share),
+}
+
+/// The bisection rule: split the board list — at the type boundary when
+/// the group is exactly two homogeneous runs, else in the middle — and
+/// once one board remains, halve its cores. `None` for a single core.
+fn cut(shares: &[Share], array: &AcceleratorArray) -> Option<Cut> {
+    match *shares {
+        [] => None,
+        [share] => (share.cores >= 2).then(|| {
+            let part = |cores| Share { cores, ..share };
+            let half = share.cores / 2;
+            Cut::Cores(part(half), part(share.cores - half))
+        }),
+        _ => Some(Cut::Boards(
+            type_boundary(shares, array).unwrap_or(shares.len() / 2),
+        )),
+    }
+}
+
 /// Splits a group in two. Returns the halves and whether the cut runs
 /// inside a single board.
 fn split(group: &Group, array: &AcceleratorArray) -> Result<(Group, Group, bool), ()> {
     let shares = group.shares();
-    if shares.len() > 1 {
-        // Split the board list. Prefer the type boundary when the group is
-        // exactly two homogeneous runs.
-        let cut = type_boundary(shares, array).unwrap_or(shares.len() / 2);
-        let (l, r) = shares.split_at(cut);
-        Ok((
-            Group { shares: l.to_vec() },
-            Group { shares: r.to_vec() },
-            false,
-        ))
-    } else {
-        // Split the cores of the single remaining (partial) board.
-        let share = shares[0];
-        if share.cores < 2 {
-            return Err(());
+    Ok(match cut(shares, array).ok_or(())? {
+        Cut::Boards(at) => {
+            let (l, r) = shares.split_at(at);
+            let group = |s: &[Share]| Group { shares: s.to_vec() };
+            (group(l), group(r), false)
         }
-        let half = share.cores / 2;
-        Ok((
-            Group {
-                shares: vec![Share {
-                    board: share.board,
-                    cores: half,
-                }],
-            },
-            Group {
-                shares: vec![Share {
-                    board: share.board,
-                    cores: share.cores - half,
-                }],
-            },
-            true,
-        ))
+        Cut::Cores(l, r) => (Group { shares: vec![l] }, Group { shares: vec![r] }, true),
+    })
+}
+
+/// The deepest complete tree [`build`] can grow over `shares`: zero
+/// where [`cut`] refuses, else one more than the shallower half.
+pub(crate) fn max_depth(shares: &[Share], array: &AcceleratorArray) -> usize {
+    let halves = |l: &[Share], r: &[Share]| 1 + max_depth(l, array).min(max_depth(r, array));
+    match cut(shares, array) {
+        None => 0,
+        Some(Cut::Boards(at)) => {
+            let (l, r) = shares.split_at(at);
+            halves(l, r)
+        }
+        Some(Cut::Cores(l, r)) => halves(&[l], &[r]),
     }
 }
 
@@ -612,6 +625,50 @@ mod tests {
         for leaf in tree.root().leaves() {
             assert_eq!(leaf.group().total_cores(), 1);
         }
+    }
+
+    #[test]
+    fn max_levels_is_exactly_the_deepest_bisection() {
+        for v2 in 0usize..=8 {
+            for v3 in 0usize..=8 {
+                if v2 + v3 == 0 {
+                    continue;
+                }
+                let array = AcceleratorArray::heterogeneous_tpu(v2, v3);
+                let max = array.max_levels();
+                let tree = GroupTree::bisect(&array, max)
+                    .unwrap_or_else(|e| panic!("{v2}+{v3} at its maximum {max}: {e}"));
+                assert_eq!(tree.root().depth(), max, "{v2}+{v3}");
+                assert_eq!(
+                    GroupTree::bisect(&array, max + 1).unwrap_err(),
+                    HwError::TooDeep {
+                        requested: max + 1,
+                        max
+                    },
+                    "{v2}+{v3}"
+                );
+            }
+        }
+        // The uneven shapes whose board-count bound overshot.
+        for (v2, v3, max) in [(1, 5, 4), (3, 5, 5), (1, 4, 4), (4, 1, 4), (1, 16, 4)] {
+            assert_eq!(
+                AcceleratorArray::heterogeneous_tpu(v2, v3).max_levels(),
+                max,
+                "{v2}+{v3}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_dropout_tree_keeps_every_depth_the_survivors_bisect_to() {
+        // Losing 15 of 16 v2 boards leaves 1+16, which bisects to 4
+        // levels: a 5-level tree rebuilds at 4 instead of failing.
+        let array = AcceleratorArray::heterogeneous_tpu(16, 16);
+        let tree = GroupTree::bisect(&array, 5).unwrap();
+        let v2_leaves: Vec<usize> = (1..16).collect();
+        let (reduced, rebuilt) = tree.without_leaves(&array, &v2_leaves).unwrap();
+        assert_eq!(reduced.len(), 17);
+        assert_eq!(rebuilt.levels(), 4);
     }
 
     #[test]

@@ -275,12 +275,8 @@ fn random_trees_are_bit_identical() {
             1 => AcceleratorArray::heterogeneous_tpu(g.pick(&[1, 2, 4]), g.pick(&[1, 2, 4])),
             _ => AcceleratorArray::heterogeneous_tpu(g.pick(&[1, 3]), g.pick(&[2, 5])),
         };
-        // Not every depth up to `max_levels` bisects an uneven array.
-        let tree = (1..=g.range(1, 6))
-            .rev()
-            .find_map(|levels| GroupTree::bisect(&array, levels).ok())
-            .expect("one level always bisects");
-        let levels = tree.levels();
+        let levels = g.range(1, 6).min(array.max_levels());
+        let tree = GroupTree::bisect(&array, levels).unwrap();
         let plan = random_tree(&mut g, view.weighted_len(), levels);
         let faults = random_faults(&mut g, tree.leaf_count(), tree.cut_count());
         check(

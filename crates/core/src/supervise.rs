@@ -329,12 +329,16 @@ pub struct Supervisor {
     /// The serving plan (`None` only when shed).
     plan: Option<PlanTree>,
     serving_secs: Option<f64>,
-    /// The incumbent's fault-free step time on the surviving tree,
-    /// refreshed whenever a plan is installed. Combined with
+    /// The incumbent's fault-free step time on the surviving tree
+    /// (inner `None` when it does not simulate there). Combined with
     /// [`FaultModel::worst_factor`] it bounds the incumbent's degraded
     /// step time analytically, so within-band events hold without a
-    /// simulation.
-    incumbent_healthy_secs: Option<f64>,
+    /// simulation. Priced lazily: `None` from an install until the
+    /// first decision whose fast-hold check needs it (the shape
+    /// matches, the faults are multiplicative, and the decision is
+    /// neither a reconcile nor recovery-only), then kept until the next
+    /// install.
+    incumbent_healthy_secs: Option<Option<f64>>,
     /// Dropped-leaf set the serving plan was shaped for; the incumbent
     /// can only run on hardware with exactly this surviving shape.
     plan_dropped: Vec<usize>,
@@ -390,7 +394,7 @@ impl Planner<'_> {
             config,
             plan: Some(healthy.clone()),
             serving_secs: Some(nominal_secs),
-            incumbent_healthy_secs: Some(nominal_secs),
+            incumbent_healthy_secs: Some(Some(nominal_secs)),
             plan_dropped: Vec::new(),
             healthy,
             nominal_secs,
@@ -550,8 +554,15 @@ impl Supervisor {
                 // analytically. When even the bound sits inside the
                 // tolerance band the event is absorbed without running
                 // the simulator — the common case under jitter.
-                let bound_secs = match (self.incumbent_healthy_secs, eff_faults.worst_factor()) {
-                    (Some(healthy), Some(worst)) if shape_ok => Some(healthy / worst),
+                let bound_secs = match (&self.plan, eff_faults.worst_factor()) {
+                    (Some(plan), Some(worst)) if shape_ok && !reconcile && !recovery_only => {
+                        let healthy = *self.incumbent_healthy_secs.get_or_insert_with(|| {
+                            sim.simulate(&self.view, plan, &surv_tree, None)
+                                .ok()
+                                .map(|r| r.total_secs)
+                        });
+                        healthy.map(|secs| secs / worst)
+                    }
                     _ => None,
                 };
                 let fast_hold = !reconcile
@@ -651,10 +662,7 @@ impl Supervisor {
                     }
                 };
                 if let Some(plan) = install {
-                    self.incumbent_healthy_secs = sim
-                        .simulate(&self.view, &plan, &surv_tree, None)
-                        .ok()
-                        .map(|r| r.total_secs);
+                    self.incumbent_healthy_secs = None;
                     self.plan = Some(plan);
                     self.plan_dropped = dropped.clone();
                 }
@@ -1292,7 +1300,7 @@ mod tests {
     }
 
     #[test]
-    fn a_search_decision_runs_four_simulations() {
+    fn a_search_decision_runs_three_simulations() {
         let collector = Arc::new(Collector::new());
         let net = zoo::lenet(64).unwrap();
         let array = AcceleratorArray::heterogeneous_tpu(2, 2);
@@ -1302,9 +1310,11 @@ mod tests {
             .unwrap()
             .supervise(SuperviseConfig::default())
             .unwrap();
-        let before = collector.events_named("sim.report").len();
-        // Far outside the band: the incumbent, the stale baseline, the
-        // candidate and the adopted plan's healthy time — no nominal.
+        let sims = || collector.events_named("sim.report").len();
+        let before = sims();
+        // Far outside the band: the incumbent, the stale baseline and
+        // the candidate — no nominal, and the adopted plan's healthy
+        // time waits until a fast-hold check needs it.
         sup.observe(HealthEvent {
             at: 0.0,
             kind: HealthEventKind::Degrade { leaf: 0, factor: 0.2 },
@@ -1312,6 +1322,32 @@ mod tests {
         .unwrap();
         sup.settle().unwrap();
         assert!(sup.decisions()[0].replanned);
-        assert_eq!(collector.events_named("sim.report").len() - before, 4);
+        assert_eq!(sims() - before, 3);
+
+        // Recover, then an in-band multiplicative event: its decision
+        // prices the incumbent on the healthy tree once and holds on the
+        // bound the eager price gave; the next in-band event reuses the
+        // price and simulates nothing.
+        let event = |at: f64, kind| HealthEvent { at, kind };
+        sup.observe(event(10.0, HealthEventKind::Recover { leaf: 0 })).unwrap();
+        sup.observe(event(20.0, HealthEventKind::Degrade { leaf: 1, factor: 0.97 })).unwrap();
+        assert_eq!(sup.decisions().len(), 2);
+        let healthy = sup
+            .knobs
+            .simulator()
+            .simulate(&sup.view, sup.plan().unwrap(), &sup.tree, None)
+            .unwrap()
+            .total_secs;
+        let before = sims();
+        sup.observe(event(30.0, HealthEventKind::Degrade { leaf: 2, factor: 0.99 })).unwrap();
+        let held = &sup.decisions()[2];
+        assert_eq!(held.action, SuperviseAction::Hold);
+        assert!(!held.replanned);
+        assert_eq!(held.serving_secs.map(f64::to_bits), Some((healthy / 0.97).to_bits()));
+        assert_eq!(sims() - before, 1);
+        let before = sims();
+        sup.observe(event(40.0, HealthEventKind::Degrade { leaf: 3, factor: 0.98 })).unwrap();
+        assert_eq!(sup.decisions()[3].action, SuperviseAction::Hold);
+        assert_eq!(sims() - before, 0);
     }
 }

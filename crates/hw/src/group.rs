@@ -235,22 +235,19 @@ impl GroupTree {
     }
 
     /// Number of internal nodes (cuts), in the pre-order numbering fault
-    /// targets use.
+    /// targets use: `2^levels − 1`, as every tree is a complete
+    /// bisection ([`GroupTree::bisect`] fails rather than build a
+    /// partial one, and [`GroupTree::degraded`] keeps the shape).
     #[must_use]
     pub fn cut_count(&self) -> usize {
-        fn count(node: &GroupNode) -> usize {
-            match node.children() {
-                None => 0,
-                Some((l, r)) => 1 + count(l) + count(r),
-            }
-        }
-        count(&self.root)
+        self.leaf_count() - 1
     }
 
-    /// Number of leaves (`2^levels` for a complete bisection).
+    /// Number of leaves: `2^levels`, as every tree is a complete
+    /// bisection.
     #[must_use]
     pub fn leaf_count(&self) -> usize {
-        self.root.leaves().count()
+        1 << self.levels
     }
 
     /// This tree with a fault model's compute and bandwidth faults
@@ -701,6 +698,38 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn counts_equal_the_walked_counts() {
+        fn walked(node: &GroupNode) -> (usize, usize) {
+            match node.children() {
+                None => (1, 0),
+                Some((l, r)) => {
+                    let (a, b) = (walked(l), walked(r));
+                    (a.0 + b.0, 1 + a.1 + b.1)
+                }
+            }
+        }
+        let check = |tree: &GroupTree, label: &str| {
+            assert_eq!((tree.leaf_count(), tree.cut_count()), walked(tree.root()), "{label}");
+        };
+        for v2 in 0usize..=8 {
+            for v3 in 0usize..=8 {
+                if v2 + v3 == 0 {
+                    continue;
+                }
+                let array = AcceleratorArray::heterogeneous_tpu(v2, v3);
+                for levels in 0..=array.max_levels() {
+                    check(&GroupTree::bisect(&array, levels).unwrap(), &format!("{v2}+{v3} at {levels}"));
+                }
+            }
+        }
+        let array = AcceleratorArray::heterogeneous_tpu(128, 128);
+        let tree = GroupTree::bisect(&array, 8).unwrap();
+        check(&tree, "128+128");
+        let (_, rebuilt) = tree.without_leaves(&array, &[0, 1, 2]).unwrap();
+        check(&rebuilt, "128+128 without three leaves");
     }
 
     #[test]

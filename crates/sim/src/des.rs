@@ -28,6 +28,26 @@
 //! [`simulate_des_naive`] reference, which the differential test battery
 //! replays).
 //!
+//! # Resources by class
+//!
+//! The graph is built over the step's class table
+//! (`geometry::ClassTable`), not over every leaf and cut: one compute
+//! unit per leaf class, one link per cut class. Each pushed task stands
+//! for `copies` identical tasks on identical resources and counts that
+//! many in [`DesReport::tasks`]; the busy vectors are expanded at the
+//! end, leaves left to right and cuts in pre-order.
+//!
+//! This is exact because of a **barrier-only invariant**: every
+//! dependency between two resources runs through a barrier over a whole
+//! phase or depth level. Conversions wait on a layer's completion join;
+//! leaves wait on the conversion join; exchanges wait on the phase's
+//! leaf join and the deeper level's join. No task waits on one
+//! particular leaf or cut, so resources of one class receive equal
+//! duration sequences in equal order and finish every task at the same
+//! instant. A dependency local to a subtree (a cut waiting only on its
+//! own leaves, say) would break the invariant: before adding one, narrow
+//! the classes by position under that subtree.
+//!
 //! The arena is reusable: [`simulate_des_in`] recycles one arena's
 //! buffers across calls, which plan sweeps (fault-sensitivity scans,
 //! replanning, serving) use to run DES-grade validation without paying
@@ -39,10 +59,10 @@
 
 use crate::config::SimConfig;
 use crate::error::SimError;
-use crate::geometry::{layer_geom, EdgeIndex, LayerGeom};
+use crate::geometry::{validate, ClassTable, EdgeIndex};
 use crate::machine::segments_secs;
+use crate::simulator::{conversion_secs, psum_secs};
 use crate::trace::phase_segments;
-use accpar_cost::comm::{attn_stage_elems, inter_conversion_split, intra_psum_elems};
 use accpar_dnn::{TrainLayer, TrainView};
 use accpar_hw::{FaultModel, GroupTree};
 use accpar_partition::{Phase, PlanTree};
@@ -165,13 +185,14 @@ impl DesArena {
         self.bwd_done.clear();
     }
 
-    /// Appends a scheduled task with `deps` copied into the shared pool.
-    /// A zero-duration task carries dependencies but must not occupy
-    /// (and thus queue on) a physical resource: a free conversion is not
-    /// a barrier.
-    fn push(&mut self, duration: f64, deps: &[u32], resource: u32) -> u32 {
+    /// Appends a scheduled task with `deps` copied into the shared pool,
+    /// standing for `copies` identical tasks on identical resources
+    /// (counted as that many in [`DesReport::tasks`]). A zero-duration
+    /// task carries dependencies but must not occupy (and thus queue on)
+    /// a physical resource: a free conversion is not a barrier.
+    fn push(&mut self, duration: f64, deps: &[u32], resource: u32, copies: usize) -> u32 {
         let resource = if duration > 0.0 { resource } else { NO_RESOURCE };
-        self.real_tasks += 1;
+        self.real_tasks += copies;
         self.push_raw(duration, deps, resource)
     }
 
@@ -199,15 +220,16 @@ impl DesArena {
     }
 
     /// Deterministic non-preemptive list scheduling in task-creation
-    /// (topological) order over the flat tables.
-    fn schedule(&mut self, n_leaves: usize, n_nodes: usize) -> DesReport {
+    /// (topological) order over the flat tables; returns the makespan
+    /// and leaves each resource's busy time in `busy`.
+    fn schedule(&mut self, resources: usize) -> f64 {
         let n = self.duration.len();
         self.finish.clear();
         self.finish.resize(n, 0.0);
         self.resource_free.clear();
-        self.resource_free.resize(n_leaves + n_nodes, 0.0);
+        self.resource_free.resize(resources, 0.0);
         self.busy.clear();
-        self.busy.resize(n_leaves + n_nodes, 0.0);
+        self.busy.resize(resources, 0.0);
         for i in 0..n {
             let off = self.dep_off[i] as usize;
             let len = self.dep_len[i] as usize;
@@ -228,25 +250,19 @@ impl DesArena {
                 self.busy[r as usize] += self.duration[i];
             }
         }
-        let total = self
-            .final_ids
+        self.final_ids
             .iter()
             .map(|&t| self.finish[t as usize])
-            .fold(0.0f64, f64::max);
-        DesReport {
-            total_secs: total,
-            leaf_busy_secs: self.busy[..n_leaves].to_vec(),
-            link_busy_secs: self.busy[n_leaves..].to_vec(),
-            tasks: self.real_tasks,
-        }
+            .fold(0.0f64, f64::max)
     }
 }
 
 /// Builds and schedules the training step's task graph, entirely driven
 /// by `config`.
 ///
-/// With `faults` set, rate faults are folded into a degraded copy of
-/// `tree`, and each leaf's transient stall window delays its first
+/// With `faults` set, rate faults are folded in as
+/// [`GroupTree::degraded`] folds them (without building the degraded
+/// tree), and each leaf's transient stall window delays its first
 /// forward task. Unlike the bulk-synchronous report, `leaf_busy_secs`
 /// here includes the stall window (the leaf's compute resource is
 /// occupied while it stalls, delaying everything queued behind it).
@@ -286,37 +302,11 @@ pub fn simulate_des_in(
     tree: &GroupTree,
     faults: Option<&FaultModel>,
 ) -> Result<DesReport, SimError> {
-    match faults {
-        None => simulate_des_with(arena, config, view, plan, tree, None),
-        Some(faults) => {
-            let (degraded, stalls) = crate::faults::prepare(tree, faults)?;
-            simulate_des_with(arena, config, view, plan, &degraded, Some(&stalls))
-        }
-    }
-}
-
-fn simulate_des_with(
-    arena: &mut DesArena,
-    config: &SimConfig,
-    view: &TrainView,
-    plan: &PlanTree,
-    tree: &GroupTree,
-    stalls: Option<&[f64]>,
-) -> Result<DesReport, SimError> {
-    if plan.depth() != tree.levels() {
-        return Err(SimError::DepthMismatch {
-            plan: plan.depth(),
-            tree: tree.levels(),
-        });
+    if let Some(faults) = faults {
+        crate::faults::validate(tree, faults)?;
     }
     let n_layers = view.weighted_len();
-    if plan.plan().len() != n_layers {
-        return Err(SimError::LayerCountMismatch {
-            level: 0,
-            plan: plan.plan().len(),
-            network: n_layers,
-        });
-    }
+    validate(plan, tree, n_layers)?;
 
     // The free function has no handle to thread through; DES timings
     // and counts go to the process-wide handle when one is installed.
@@ -327,12 +317,9 @@ fn simulate_des_with(
     let mut layers: Vec<&TrainLayer> = view.layers().collect();
     layers.sort_by_key(|l| l.index());
     let edges = EdgeIndex::new(view);
-    let depth = tree.levels();
-    let geoms: Vec<LayerGeom> = (0..n_layers)
-        .map(|l| layer_geom(tree.root(), plan, depth, l))
-        .collect();
-    let n_leaves = geoms.first().map_or(1, |g| g.leaves.len());
-    let n_nodes = geoms.first().map_or(0, |g| g.nodes.len());
+    // One compute unit per leaf class, then one link per cut class.
+    let table = ClassTable::new(tree, plan, n_layers, faults);
+    let n_leaves = table.leaves.len();
 
     arena.reset();
     arena.fwd_done.resize(n_layers, NO_TASK);
@@ -346,7 +333,7 @@ fn simulate_des_with(
     // time equals the completion of everything producing F_{l+1}
     // (leaf compute plus forward psum exchanges) — the join-task
     // equivalent of the naive engine's per-layer completion *list*.
-    for l in 0..n_layers {
+    for (l, &layer) in layers.iter().enumerate() {
         // Conversions feeding this layer (F direction): each depends on
         // the producer layer's single completion barrier, not on every
         // one of its tasks.
@@ -356,21 +343,9 @@ fn simulate_des_with(
                 let producer_done = arena.fwd_done[edge.from];
                 let dep_buf = [producer_done];
                 let deps: &[u32] = if producer_done == NO_TASK { &[] } else { &dep_buf };
-                for (node_idx, node) in geoms[l].nodes.iter().enumerate() {
-                    let prev = node.plan.layer(edge.from);
-                    let next = node.plan.layer(edge.to);
-                    let boundary = edge.boundary_elems as f64 * node.scales.f_in;
-                    let (f, _e) = inter_conversion_split(
-                        prev.ptype,
-                        prev.ratio.value(),
-                        next.ptype,
-                        next.ratio.value(),
-                        boundary.round() as u64,
-                        boundary.round() as u64,
-                    );
-                    let secs = (config.format.bytes_f64(f.0) / node.link_a)
-                        .max(config.format.bytes_f64(f.1) / node.link_b);
-                    let t = arena.push(secs, deps, (n_leaves + node_idx) as u32);
+                for (c, cut) in table.cuts.iter().enumerate() {
+                    let secs = conversion_secs(config, edge, &table, cut, Phase::Forward);
+                    let t = arena.push(secs, deps, (n_leaves + c) as u32, cut.copies);
                     conv_ids.push(t);
                 }
             }
@@ -381,14 +356,13 @@ fn simulate_des_with(
         // Leaf compute. Transient stall windows occupy each leaf at the
         // start of the step, so they lengthen its first forward task.
         leaf_ids.clear();
-        for (leaf_idx, (caps, scales)) in geoms[l].leaves.iter().enumerate() {
-            let segs = phase_segments(layers[l], Phase::Forward, *scales);
-            let mut secs = segments_secs(&segs, caps, config);
+        for (c, leaf) in table.leaves.iter().enumerate() {
+            let segs = phase_segments(layer, Phase::Forward, table.scales(leaf.lineage, l));
+            let mut secs = segments_secs(&segs, &leaf.caps, config);
             if l == 0 {
-                secs += stalls.map_or(0.0, |s| s.get(leaf_idx).copied().unwrap_or(0.0));
+                secs += leaf.stall;
             }
-            let deps = conv_ready.as_slice();
-            let t = arena.push(secs, deps, leaf_idx as u32);
+            let t = arena.push(secs, conv_ready.as_slice(), c as u32, leaf.copies);
             leaf_ids.push(t);
         }
         // Psum exchanges, deepest first; a shallower exchange depends on
@@ -397,10 +371,10 @@ fn simulate_des_with(
         psum_tasks(
             arena,
             config,
-            &geoms[l],
-            layers[l],
+            &table,
+            layer,
             Phase::Forward,
-            n_leaves,
+            l,
             &leaf_ids,
             &mut psum_ids,
         );
@@ -428,21 +402,9 @@ fn simulate_des_with(
                 } else {
                     arena.bwd_done[edge.to]
                 };
-                for (node_idx, node) in geoms[edge.to].nodes.iter().enumerate() {
-                    let prev = node.plan.layer(edge.from);
-                    let next = node.plan.layer(edge.to);
-                    let boundary = edge.boundary_elems as f64 * node.scales.f_in;
-                    let (_f, e) = inter_conversion_split(
-                        prev.ptype,
-                        prev.ratio.value(),
-                        next.ptype,
-                        next.ratio.value(),
-                        boundary.round() as u64,
-                        boundary.round() as u64,
-                    );
-                    let secs = (config.format.bytes_f64(e.0) / node.link_a)
-                        .max(config.format.bytes_f64(e.1) / node.link_b);
-                    let t = arena.push(secs, &[producer], (n_leaves + node_idx) as u32);
+                for (c, cut) in table.cuts.iter().enumerate() {
+                    let secs = conversion_secs(config, edge, &table, cut, Phase::Backward);
+                    let t = arena.push(secs, &[producer], (n_leaves + c) as u32, cut.copies);
                     conv_ids.push(t);
                 }
             }
@@ -453,27 +415,27 @@ fn simulate_des_with(
         } else {
             arena.join(&conv_ids)
         };
-        let e_buf = [e_ready.unwrap_or(NO_TASK)];
-        let e_deps: &[u32] = if e_ready.is_some() { &e_buf } else { &[] };
+        let e_deps = e_ready.as_slice();
 
         // Backward compute + psum (produces E_l).
         let skip_backward = config.skip_first_backward && l == 0;
         if !skip_backward {
             leaf_ids.clear();
-            for (leaf_idx, (caps, scales)) in geoms[l].leaves.iter().enumerate() {
-                let segs = phase_segments(layers[l], Phase::Backward, *scales);
-                let secs = segments_secs(&segs, caps, config);
-                let t = arena.push(secs, e_deps, leaf_idx as u32);
+            for (c, leaf) in table.leaves.iter().enumerate() {
+                let segs =
+                    phase_segments(layers[l], Phase::Backward, table.scales(leaf.lineage, l));
+                let secs = segments_secs(&segs, &leaf.caps, config);
+                let t = arena.push(secs, e_deps, c as u32, leaf.copies);
                 leaf_ids.push(t);
             }
             psum_ids.clear();
             psum_tasks(
                 arena,
                 config,
-                &geoms[l],
+                &table,
                 layers[l],
                 Phase::Backward,
-                n_leaves,
+                l,
                 &leaf_ids,
                 &mut psum_ids,
             );
@@ -484,10 +446,10 @@ fn simulate_des_with(
 
         // Gradient compute + psum (independent of the backward result).
         leaf_ids.clear();
-        for (leaf_idx, (caps, scales)) in geoms[l].leaves.iter().enumerate() {
-            let segs = phase_segments(layers[l], Phase::Gradient, *scales);
-            let secs = segments_secs(&segs, caps, config);
-            let t = arena.push(secs, e_deps, leaf_idx as u32);
+        for (c, leaf) in table.leaves.iter().enumerate() {
+            let segs = phase_segments(layers[l], Phase::Gradient, table.scales(leaf.lineage, l));
+            let secs = segments_secs(&segs, &leaf.caps, config);
+            let t = arena.push(secs, e_deps, c as u32, leaf.copies);
             leaf_ids.push(t);
         }
         final_ids.extend_from_slice(&leaf_ids);
@@ -495,10 +457,10 @@ fn simulate_des_with(
         psum_tasks(
             arena,
             config,
-            &geoms[l],
+            &table,
             layers[l],
             Phase::Gradient,
-            n_leaves,
+            l,
             &leaf_ids,
             &mut psum_ids,
         );
@@ -510,7 +472,13 @@ fn simulate_des_with(
 
     arena.final_ids = final_ids;
     let t_built = obs.enabled().then(Instant::now);
-    let report = arena.schedule(n_leaves, n_nodes);
+    let total_secs = arena.schedule(n_leaves + table.cuts.len());
+    let report = DesReport {
+        total_secs,
+        leaf_busy_secs: table.per_leaf(&arena.busy[..n_leaves]),
+        link_busy_secs: table.per_cut(&arena.busy[n_leaves..]),
+        tasks: arena.real_tasks,
+    };
     if obs.enabled() {
         if let (Some(start), Some(built)) = (t_start, t_built) {
             let build_us = built.duration_since(start).as_micros() as u64;
@@ -546,48 +514,26 @@ fn simulate_des_with(
 fn psum_tasks(
     arena: &mut DesArena,
     config: &SimConfig,
-    geom: &LayerGeom,
+    table: &ClassTable,
     layer: &TrainLayer,
     phase: Phase,
-    n_leaves: usize,
+    l: usize,
     leaf_tasks: &[u32],
     created: &mut Vec<u32>,
 ) {
-    let Some(max_depth) = geom.nodes.iter().map(|n| n.depth).max() else {
-        return;
-    };
+    let n_leaves = table.leaves.len();
     // Lazily created: layers whose phase carries no exchange at all
     // must not leave a stray join task behind.
     let mut leaf_join: Option<u32> = None;
     let mut prev_join: Option<u32> = None;
     let mut this_level = std::mem::take(&mut arena.level_ids);
-    for depth in (0..=max_depth).rev() {
+    for depth in (0..table.depths()).rev() {
         this_level.clear();
-        for (node_idx, node) in geom.nodes.iter().enumerate() {
-            if node.depth != depth {
+        let (first, cuts) = table.level(depth);
+        for (c, cut) in (first..).zip(cuts) {
+            let Some(secs) = psum_secs(config, layer, table, cut, phase, l) else {
                 continue;
-            }
-            let psum = if node.entry.ptype.psum_phase() == phase {
-                intra_psum_elems(node.entry.ptype, layer) as f64
-                    * node.scales.psum_scale(node.entry.ptype)
-            } else {
-                0.0
             };
-            let (stage_a, stage_b) = if phase == Phase::Forward {
-                let full = attn_stage_elems(node.entry.ptype, layer) as f64;
-                let alpha = node.entry.ratio.value();
-                (
-                    full * node.scales.shrink(node.entry.ptype, alpha).f_in,
-                    full * node.scales.shrink(node.entry.ptype, 1.0 - alpha).f_in,
-                )
-            } else {
-                (0.0, 0.0)
-            };
-            if psum == 0.0 && stage_a == 0.0 && stage_b == 0.0 {
-                continue;
-            }
-            let secs = (config.format.bytes_f64(psum + stage_a) / node.link_a)
-                .max(config.format.bytes_f64(psum + stage_b) / node.link_b);
             let leaves_done = *leaf_join.get_or_insert_with(|| {
                 arena
                     .join(leaf_tasks)
@@ -601,7 +547,7 @@ fn psum_tasks(
                 }
                 None => &deps[..1],
             };
-            let t = arena.push(secs, deps, (n_leaves + node_idx) as u32);
+            let t = arena.push(secs, deps, (n_leaves + c) as u32, cut.copies);
             this_level.push(t);
             created.push(t);
         }
@@ -620,6 +566,8 @@ fn psum_tasks(
 /// property battery assert it.
 mod naive {
     use super::*;
+    use crate::geometry::{layer_geom, LayerGeom};
+    use accpar_cost::comm::{attn_stage_elems, inter_conversion_split, intra_psum_elems};
 
     struct Task {
         duration: f64,

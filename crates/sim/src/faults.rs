@@ -3,18 +3,15 @@
 use crate::error::SimError;
 use accpar_hw::{FaultModel, FaultTarget, GroupTree};
 
-/// Validates `faults` against `tree` and folds the rate faults into a
-/// degraded tree. Returns the degraded tree and the per-leaf transient
-/// stall windows (seconds, one entry per leaf left to right).
+/// Validates `faults` against `tree`: every target exists, and no leaf
+/// is dropped.
 ///
 /// Dropout is *not* simulatable against the original plan — the plan
 /// still assigns shards to the missing leaf — so a dropped leaf is
 /// reported as [`SimError::DroppedLeaf`]; callers re-plan on the reduced
-/// array (see `accpar-core`) before simulating.
-pub(crate) fn prepare(
-    tree: &GroupTree,
-    faults: &FaultModel,
-) -> Result<(GroupTree, Vec<f64>), SimError> {
+/// array (see `accpar-core`) before simulating. The simulators fold the
+/// rate faults into their class table (`geometry::ClassTable`).
+pub(crate) fn validate(tree: &GroupTree, faults: &FaultModel) -> Result<(), SimError> {
     let leaves = tree.leaf_count();
     let cuts = tree.cut_count();
     for fault in faults.faults() {
@@ -31,10 +28,23 @@ pub(crate) fn prepare(
     if let Some(&leaf) = faults.dropped_leaves().first() {
         return Err(SimError::DroppedLeaf { leaf });
     }
+    Ok(())
+}
+
+/// [`validate`], then the rate faults folded into a degraded copy of
+/// `tree`, and the per-leaf transient stall windows (seconds, one entry
+/// per leaf left to right) — the reference engines' fault path.
+pub(crate) fn prepare(
+    tree: &GroupTree,
+    faults: &FaultModel,
+) -> Result<(GroupTree, Vec<f64>), SimError> {
+    validate(tree, faults)?;
     let degraded = tree
         .degraded(faults)
         .map_err(|e| SimError::Fault(e.to_string()))?;
-    let stalls = (0..leaves).map(|i| faults.stall_secs(i)).collect();
+    let stalls = (0..tree.leaf_count())
+        .map(|i| faults.stall_secs(i))
+        .collect();
     Ok((degraded, stalls))
 }
 

@@ -11,13 +11,13 @@
 //!   the forward sweep for the backward and gradient phases;
 //! * a transient error buffer for the largest `E` tensor it touches.
 //!
-//! [`memory_report`] computes these per leaf from the same tree geometry
-//! the simulator uses, and compares them against each leaf's HBM
+//! [`memory_report`] computes these per leaf from the same class table
+//! the simulators use, and compares them against each leaf's HBM
 //! capacity.
 
 use crate::config::{Optimizer, SimConfig};
 use crate::error::SimError;
-use crate::geometry::layer_geom;
+use crate::geometry::{validate, ClassTable};
 use accpar_dnn::{TrainLayer, TrainView};
 use accpar_hw::GroupTree;
 use accpar_partition::PlanTree;
@@ -73,53 +73,38 @@ pub fn memory_report(
     config: &SimConfig,
     optimizer: Optimizer,
 ) -> Result<MemoryReport, SimError> {
-    if plan.depth() != tree.levels() {
-        return Err(SimError::DepthMismatch {
-            plan: plan.depth(),
-            tree: tree.levels(),
-        });
-    }
     let n_layers = view.weighted_len();
+    validate(plan, tree, n_layers)?;
     let mut layers: Vec<&TrainLayer> = view.layers().collect();
     layers.sort_by_key(|l| l.index());
-    if plan.plan().len() != n_layers {
-        return Err(SimError::LayerCountMismatch {
-            level: 0,
-            plan: plan.plan().len(),
-            network: n_layers,
-        });
-    }
 
     let bytes_per_elem = config.format.bytes_per_element() as f64;
     // Weights + gradients + optimizer state copies.
     let weight_copies = (2 + optimizer.state_copies()) as f64;
 
-    let mut per_leaf_bytes: Vec<f64> = Vec::new();
-    let mut per_leaf_capacity: Vec<f64> = Vec::new();
-    let mut transient_e: Vec<f64> = Vec::new();
-
-    let depth = plan.depth();
-    for (l, layer) in layers.iter().enumerate() {
-        let geom = layer_geom(tree.root(), plan, depth, l);
-        if per_leaf_bytes.is_empty() {
-            per_leaf_bytes = vec![0.0; geom.leaves.len()];
-            transient_e = vec![0.0; geom.leaves.len()];
-            per_leaf_capacity = geom.leaves.iter().map(|(caps, _)| caps.hbm_bytes).collect();
-        }
-        for (idx, (_, scales)) in geom.leaves.iter().enumerate() {
+    // Each leaf class's footprint; its leaves hold the same.
+    let table = ClassTable::new(tree, plan, n_layers, None);
+    let mut bytes = Vec::with_capacity(table.leaves.len());
+    let mut capacity = Vec::with_capacity(table.leaves.len());
+    for leaf in &table.leaves {
+        let mut held = 0.0;
+        // Transient error buffer: the largest E tensor this leaf holds
+        // at any point of the backward sweep.
+        let mut transient_e: f64 = 0.0;
+        for (l, layer) in layers.iter().enumerate() {
+            let scales = table.scales(leaf.lineage, l);
             let w = layer.weight().size() as f64 * scales.weight;
             let f_in = layer.in_fmap().size() as f64 * scales.f_in;
-            per_leaf_bytes[idx] += (w * weight_copies + f_in) * bytes_per_elem;
-            // Transient error buffer: the largest E tensor this leaf
-            // holds at any point of the backward sweep.
+            held += (w * weight_copies + f_in) * bytes_per_elem;
             let e = (layer.out_fmap().size() as f64 * scales.f_out)
                 .max(layer.in_fmap().size() as f64 * scales.f_in);
-            transient_e[idx] = transient_e[idx].max(e * bytes_per_elem);
+            transient_e = transient_e.max(e * bytes_per_elem);
         }
+        bytes.push(held + transient_e);
+        capacity.push(leaf.caps.hbm_bytes);
     }
-    for (bytes, e) in per_leaf_bytes.iter_mut().zip(&transient_e) {
-        *bytes += e;
-    }
+    let per_leaf_bytes = table.per_leaf(&bytes);
+    let per_leaf_capacity = table.per_leaf(&capacity);
 
     let peak_occupancy = per_leaf_bytes
         .iter()

@@ -1,14 +1,13 @@
 use crate::config::SimConfig;
 use crate::error::SimError;
-use crate::geometry::{EdgeIndex, NodeGeom};
+use crate::geometry::{validate, ClassTable, CutClass, EdgeIndex};
 use crate::machine::segments_secs;
 use crate::trace::phase_segments;
-use accpar_cost::cache::scales_bits;
 use accpar_cost::comm::{attn_stage_elems, inter_conversion_split, intra_psum_elems};
 use accpar_dnn::{TrainEdge, TrainLayer, TrainView};
-use accpar_hw::{FaultModel, GroupCaps, GroupNode, GroupTree};
+use accpar_hw::{FaultModel, GroupTree};
 use accpar_obs::Obs;
-use accpar_partition::{Phase, PlanTree, ShardScales};
+use accpar_partition::{Phase, PlanTree};
 use std::fmt;
 
 /// Per-layer timing breakdown of a simulated training step, in seconds.
@@ -109,10 +108,12 @@ impl fmt::Display for SimReport {
 /// and inter-layer tensor conversions are charged when the consuming
 /// phase begins.
 ///
-/// Each layer and phase is priced once per distinct (plan node, hardware
-/// subtree, shard scales): the two halves of a [`PlanTree::twin`] over
-/// hardware that prices alike, stalls included, are priced once, and the
-/// report is bit-identical to pricing every node and leaf.
+/// Each layer and phase is priced once per class of the step's class
+/// table: leaves with equal caps, stall windows and shard scales in
+/// every layer are priced once, and so are cuts with equal links, plan
+/// node and scales — the halves of a [`PlanTree::twin`] over hardware
+/// that prices alike, and the subtrees beside a fault. The report is
+/// bit-identical to pricing every node and leaf.
 #[derive(Debug, Clone, Default)]
 pub struct Simulator {
     config: SimConfig,
@@ -148,7 +149,8 @@ impl Simulator {
     /// `tree`, entirely driven by the simulator's [`SimConfig`].
     ///
     /// With `faults` set, compute slowdowns and cut-bandwidth
-    /// degradations are folded into a degraded copy of `tree`, and each
+    /// degradations are folded in as [`GroupTree::degraded`] folds them
+    /// (without building the degraded tree), and each
     /// leaf's transient stall window is charged at the start of the step
     /// (its first forward phase). The report's `leaf_busy_secs` counts
     /// compute only — stall windows lengthen the step but are idle time,
@@ -171,41 +173,22 @@ impl Simulator {
         tree: &GroupTree,
         faults: Option<&FaultModel>,
     ) -> Result<SimReport, SimError> {
-        match faults {
-            None => self.simulate_with(view, plan, tree, None),
-            Some(faults) => {
-                let (degraded, stalls) = crate::faults::prepare(tree, faults)?;
-                if self.obs.enabled() {
-                    self.obs
-                        .counter("sim.fault_activations")
-                        .add(faults.faults().len() as u64);
-                }
-                self.simulate_with(view, plan, &degraded, Some(&stalls))
+        if let Some(faults) = faults {
+            crate::faults::validate(tree, faults)?;
+            if self.obs.enabled() {
+                self.obs
+                    .counter("sim.fault_activations")
+                    .add(faults.faults().len() as u64);
             }
         }
-    }
-
-    fn simulate_with(
-        &self,
-        view: &TrainView,
-        plan: &PlanTree,
-        tree: &GroupTree,
-        stalls: Option<&[f64]>,
-    ) -> Result<SimReport, SimError> {
-        if plan.depth() != tree.levels() {
-            return Err(SimError::DepthMismatch {
-                plan: plan.depth(),
-                tree: tree.levels(),
-            });
-        }
         let n_layers = view.weighted_len();
-        validate_layer_counts(plan, n_layers, 0)?;
+        validate(plan, tree, n_layers)?;
         let span = self.obs.span(
             "sim.step",
             &[
                 ("layers", n_layers.into()),
                 ("levels", tree.levels().into()),
-                ("faulted", stalls.is_some().into()),
+                ("faulted", faults.is_some().into()),
             ],
         );
         let _step_timer = self.obs.timer("sim.step_ns");
@@ -214,10 +197,9 @@ impl Simulator {
         layers.sort_by_key(|l| l.index());
         let edges = EdgeIndex::new(view);
 
-        // Per-layer geometry with each twin priced once.
-        let skeleton = Skeleton::new(tree.root(), plan, stalls);
-        let geoms = skeleton.layer_geoms(n_layers);
-        let mut busy = Busy::new(&geoms);
+        let table = ClassTable::new(tree, plan, n_layers, faults);
+        // Each leaf class's busy time: its phases' prices in phase order.
+        let mut busy = vec![0.0; table.leaves.len()];
 
         let mut report = SimReport {
             total_secs: 0.0,
@@ -233,26 +215,24 @@ impl Simulator {
         // start of the step, i.e. during the first forward phase.
         for (l, layer) in layers.iter().enumerate() {
             if self.config.interlayer {
-                let conv = self.conversion_secs(edges.consumed_by(l), &geoms, Phase::Forward);
+                let conv = self.conversion_secs(edges.consumed_by(l), &table, Phase::Forward);
                 report.per_layer[l].conversion_secs += conv;
                 report.conversion_secs += conv;
             }
-            let geom = geoms.layer(l);
-            self.run_phase(layer, geom, Phase::Forward, l, l == 0, &mut busy, &mut report);
+            self.run_phase(layer, &table, Phase::Forward, l, l == 0, &mut busy, &mut report);
         }
         // Backward + gradient sweep.
         for l in (0..n_layers).rev() {
             let skip_backward = self.config.skip_first_backward && l == 0;
             if self.config.interlayer {
-                let conv = self.conversion_secs(edges.produced_by(l), &geoms, Phase::Backward);
+                let conv = self.conversion_secs(edges.produced_by(l), &table, Phase::Backward);
                 report.per_layer[l].conversion_secs += conv;
                 report.conversion_secs += conv;
             }
-            let geom = geoms.layer(l);
             if !skip_backward {
-                self.run_phase(layers[l], geom, Phase::Backward, l, false, &mut busy, &mut report);
+                self.run_phase(layers[l], &table, Phase::Backward, l, false, &mut busy, &mut report);
             }
-            self.run_phase(layers[l], geom, Phase::Gradient, l, false, &mut busy, &mut report);
+            self.run_phase(layers[l], &table, Phase::Gradient, l, false, &mut busy, &mut report);
         }
 
         // Optional optimizer update phase: each leaf updates its weight
@@ -264,13 +244,13 @@ impl Simulator {
             // Touched per parameter: read gradient, read+write weight,
             // read+write each optimizer state copy.
             let accesses = 3.0 + 2.0 * optimizer.state_copies() as f64;
-            for unit in 0..busy.secs.len() {
+            for (leaf, busy) in table.leaves.iter().zip(&mut busy) {
                 let mut elems = 0.0;
                 for (l, layer) in layers.iter().enumerate() {
-                    let scales = busy.leaf(geoms.layer(l), unit).scales;
+                    let scales = table.scales(leaf.lineage, l);
                     elems += layer.weight().size() as f64 * scales.weight;
                 }
-                let caps = busy.leaf(geoms.layer(0), unit).caps;
+                let caps = leaf.caps;
                 let compute =
                     elems * optimizer.update_flops_per_param() as f64 / caps.flops;
                 let mem = elems * accesses * bytes_per_elem / caps.mem_bw;
@@ -279,12 +259,12 @@ impl Simulator {
                     crate::config::MemModel::Serial => compute + mem,
                     crate::config::MemModel::ComputeOnly => compute,
                 };
-                busy.secs[unit] += secs;
+                *busy += secs;
                 makespan = makespan.max(secs);
             }
             report.update_secs = makespan;
         }
-        report.leaf_busy_secs = busy.into_leaves(&geoms);
+        report.leaf_busy_secs = table.per_leaf(&busy);
 
         report.total_secs = report.compute_secs
             + report.psum_secs
@@ -319,67 +299,43 @@ impl Simulator {
     }
 
     /// Compute + psum of one phase, accumulated into the report and the
-    /// leaves' busy times. `stalled` (set only for the step's first
-    /// phase) delays each leaf by its stall window without counting as
-    /// busy time.
+    /// leaf classes' busy times. `stalled` (set only for the step's
+    /// first phase) delays each leaf by its stall window without
+    /// counting as busy time.
     #[allow(clippy::too_many_arguments)]
     fn run_phase(
         &self,
         layer: &TrainLayer,
-        geom: TwinGeom,
+        table: &ClassTable,
         phase: Phase,
         l: usize,
         stalled: bool,
-        busy: &mut Busy,
+        busy: &mut [f64],
         report: &mut SimReport,
     ) {
         // Bulk-synchronous compute: the phase ends when the slowest leaf
-        // finishes its shard. Each distinct leaf is priced once; the max
-        // over the distinct values is the max over every leaf.
+        // finishes its shard; the max over the leaf classes is the max
+        // over every leaf.
         let mut makespan: f64 = 0.0;
-        busy.prices.clear();
-        for leaf in geom.leaves {
-            let segs = phase_segments(layer, phase, leaf.scales);
+        for (leaf, busy) in table.leaves.iter().zip(busy) {
+            let segs = phase_segments(layer, phase, table.scales(leaf.lineage, l));
             let t = segments_secs(&segs, &leaf.caps, &self.config);
             let stall = if stalled { leaf.stall } else { 0.0 };
             makespan = makespan.max(t + stall);
-            busy.prices.push(t);
+            *busy += t;
         }
-        busy.add(geom);
         report.compute_secs += makespan;
         report.per_layer[l].compute_secs += makespan;
 
         // Partial-sum exchanges, deepest level first: partial results
-        // combine bottom-up. Nodes at the same depth exchange
-        // concurrently. Each forward phase additionally carries the
-        // attention-stage K/V exchange of a lowered `o` projection (each
-        // side sends its own token slice, so the sides scale by their
-        // respective input-feature shares).
-        for depth in (0..geom.depths()).rev() {
+        // combine bottom-up. Cuts at the same depth exchange
+        // concurrently.
+        for depth in (0..table.depths()).rev() {
             let mut level_secs: f64 = 0.0;
-            for node in geom.level(depth) {
-                let psum = if node.entry.ptype.psum_phase() == phase {
-                    intra_psum_elems(node.entry.ptype, layer) as f64
-                        * node.scales.psum_scale(node.entry.ptype)
-                } else {
-                    0.0
-                };
-                let (stage_a, stage_b) = if phase == Phase::Forward {
-                    let full = attn_stage_elems(node.entry.ptype, layer) as f64;
-                    let alpha = node.entry.ratio.value();
-                    (
-                        full * node.scales.shrink(node.entry.ptype, alpha).f_in,
-                        full * node.scales.shrink(node.entry.ptype, 1.0 - alpha).f_in,
-                    )
-                } else {
-                    (0.0, 0.0)
-                };
-                if psum == 0.0 && stage_a == 0.0 && stage_b == 0.0 {
-                    continue;
+            for cut in table.level(depth).1 {
+                if let Some(t) = psum_secs(&self.config, layer, table, cut, phase, l) {
+                    level_secs = level_secs.max(t);
                 }
-                let t = (self.config.format.bytes_f64(psum + stage_a) / node.link_a)
-                    .max(self.config.format.bytes_f64(psum + stage_b) / node.link_b);
-                level_secs = level_secs.max(t);
             }
             report.psum_secs += level_secs;
             report.per_layer[l].psum_secs += level_secs;
@@ -393,35 +349,16 @@ impl Simulator {
     fn conversion_secs<'e>(
         &self,
         edges: impl Iterator<Item = &'e TrainEdge>,
-        geoms: &TwinGeoms,
+        table: &ClassTable,
         phase: Phase,
     ) -> f64 {
-        let forward = phase == Phase::Forward;
         let mut total = 0.0;
         for edge in edges {
-            // The boundary tensor's shard scale follows the *consumer*'s
-            // input feature map (an approximation when the two layers'
-            // types disagree; documented in DESIGN.md).
-            let consumer_geom = geoms.layer(edge.to);
-            for depth in 0..consumer_geom.depths() {
+            for depth in 0..table.depths() {
                 let mut level_secs: f64 = 0.0;
-                for node in consumer_geom.level(depth) {
-                    let prev = node.plan.layer(edge.from);
-                    let next = node.plan.layer(edge.to);
-                    let boundary =
-                        (edge.boundary_elems as f64 * node.scales.f_in).round() as u64;
-                    let (f, e) = inter_conversion_split(
-                        prev.ptype,
-                        prev.ratio.value(),
-                        next.ptype,
-                        next.ratio.value(),
-                        boundary,
-                        boundary,
-                    );
-                    let (a_elems, b_elems) = if forward { f } else { e };
-                    let t = (self.config.format.bytes_f64(a_elems) / node.link_a)
-                        .max(self.config.format.bytes_f64(b_elems) / node.link_b);
-                    level_secs = level_secs.max(t);
+                for cut in table.level(depth).1 {
+                    level_secs =
+                        level_secs.max(conversion_secs(&self.config, edge, table, cut, phase));
                 }
                 total += level_secs;
             }
@@ -430,313 +367,72 @@ impl Simulator {
     }
 }
 
-/// Checks every distinct node's layer count; a twin's halves are one
-/// node, checked once.
-fn validate_layer_counts(plan: &PlanTree, n_layers: usize, level: usize) -> Result<(), SimError> {
-    if plan.plan().len() != n_layers {
-        return Err(SimError::LayerCountMismatch {
-            level,
-            plan: plan.plan().len(),
-            network: n_layers,
-        });
-    }
-    if let Some((a, b)) = plan.children() {
-        validate_layer_counts(a, n_layers, level + 1)?;
-        if !plan.is_twin() {
-            validate_layer_counts(b, n_layers, level + 1)?;
-        }
-    }
-    Ok(())
-}
-
-// --- twin-aware geometry ------------------------------------------------
-//
-// A *twin* is a bisection whose halves hold one shared plan node
-// (`PlanTree::is_twin`), or no plan node at all (the bottom level), over
-// group subtrees that price alike (`GroupNode::prices_alike`) and stall
-// alike. For every layer in which the two halves also inherit
-// bitwise-equal shard scales, every pricing input of the right half —
-// caps, links, scales, plan entries, stalls — equals the left half's bit
-// for bit, so its leaves and nodes are priced through the left half's.
-// Maxima over a level or over the leaves are unchanged by dropping equal
-// values, and each leaf still receives its own busy-time additions in
-// phase order, so the report is bit-identical to pricing every node.
-
-/// The leaves' busy times. Each leaf sums its phases' prices in phase
-/// order. When every layer maps the leaves onto its distinct leaves
-/// alike — the usual case, as the twins of a searched plan inherit equal
-/// scales in every layer — the leaves of one distinct leaf receive the
-/// same additions, so one accumulator per distinct leaf yields each of
-/// their sums bit for bit; otherwise every leaf keeps its own.
-struct Busy {
-    /// One accumulator per distinct leaf when `shared`, else per leaf.
-    secs: Vec<f64>,
-    shared: bool,
-    /// The current phase's price of each distinct leaf.
-    prices: Vec<f64>,
-}
-
-impl Busy {
-    fn new(geoms: &TwinGeoms) -> Self {
-        let shared = (1..geoms.layers()).all(|l| geoms.layer(l).class == geoms.layer(0).class);
-        let units = match geoms.layers() {
-            0 => 1,
-            _ if shared => geoms.layer(0).leaves.len(),
-            _ => geoms.walk_leaves,
-        };
-        Self {
-            secs: vec![0.0; units],
-            shared,
-            prices: Vec::new(),
-        }
-    }
-
-    /// The distinct leaf of `geom` that accumulator `unit` follows.
-    fn leaf<'g>(&self, geom: TwinGeom<'g, '_>, unit: usize) -> &'g LeafGeom {
-        if self.shared {
-            &geom.leaves[unit]
-        } else {
-            geom.leaf(unit)
-        }
-    }
-
-    /// Adds the current phase's prices.
-    fn add(&mut self, geom: TwinGeom) {
-        if self.shared {
-            for (busy, &t) in self.secs.iter_mut().zip(&self.prices) {
-                *busy += t;
-            }
-        } else {
-            for (busy, &class) in self.secs.iter_mut().zip(geom.class) {
-                *busy += self.prices[class as usize];
-            }
-        }
-    }
-
-    /// Every leaf's busy time, left to right.
-    fn into_leaves(self, geoms: &TwinGeoms) -> Vec<f64> {
-        if self.shared && geoms.layers() > 0 {
-            geoms.layer(0).class.iter().map(|&c| self.secs[c as usize]).collect()
-        } else {
-            self.secs
-        }
-    }
-}
-
-/// One step of the (group tree, plan tree) walk, built once per step:
-/// a twin's halves share one slot.
-struct Slot<'a> {
-    group: &'a GroupNode,
-    /// The bisection's plan node; `None` for a leaf of the walk.
-    plan: Option<&'a PlanTree>,
-    depth: usize,
-    /// Leaves of the walk below this slot.
-    leaves: usize,
-    /// The child slots, equal for a twin.
-    kids: (usize, usize),
-}
-
-/// The step's slots in pre-order, root first.
-struct Skeleton<'a> {
-    slots: Vec<Slot<'a>>,
-    /// Each leaf's stall window, left to right, on a faulted step.
-    stalls: Option<&'a [f64]>,
-    /// Depths that hold a bisection (the deepest one's plus one).
-    depths: usize,
-}
-
-/// A leaf of the walk as the pricing sees it.
-struct LeafGeom {
-    caps: GroupCaps,
-    scales: ShardScales,
-    stall: f64,
-}
-
-/// Every layer's geometry with twins priced once, in flat arrays shared
-/// by the layers (one allocation each per step, not per layer).
-struct TwinGeoms<'p> {
-    nodes: Vec<NodeGeom<'p>>,
-    /// Layer `l`'s nodes at depth `d` are `nodes[depth_at[i]..depth_at[i
-    /// + 1]]`, `i = l · (depths + 1) + d`.
-    depth_at: Vec<usize>,
-    depths: usize,
-    leaves: Vec<LeafGeom>,
-    /// Layer `l`'s distinct leaves are `leaves[leaf_at[l]..leaf_at[l + 1]]`.
-    leaf_at: Vec<usize>,
-    /// Layer `l`'s map from each leaf of the walk, left to right, to its
-    /// distinct leaf is `class[l · walk_leaves..(l + 1) · walk_leaves]`.
-    class: Vec<u32>,
-    walk_leaves: usize,
-}
-
-impl<'p> TwinGeoms<'p> {
-    fn layers(&self) -> usize {
-        self.leaf_at.len() - 1
-    }
-
-    fn layer(&self, l: usize) -> TwinGeom<'_, 'p> {
-        let at = l * (self.depths + 1);
-        TwinGeom {
-            nodes: &self.nodes,
-            depth_at: &self.depth_at[at..=at + self.depths],
-            leaves: &self.leaves[self.leaf_at[l]..self.leaf_at[l + 1]],
-            class: &self.class[l * self.walk_leaves..(l + 1) * self.walk_leaves],
-        }
-    }
-}
-
-/// One layer's geometry with twins priced once: the distinct nodes
-/// grouped by depth and the distinct leaves, with every leaf of the walk
-/// mapped to its distinct leaf.
-#[derive(Clone, Copy)]
-struct TwinGeom<'g, 'p> {
-    nodes: &'g [NodeGeom<'p>],
-    depth_at: &'g [usize],
-    leaves: &'g [LeafGeom],
-    class: &'g [u32],
-}
-
-impl<'g, 'p> TwinGeom<'g, 'p> {
-    fn depths(&self) -> usize {
-        self.depth_at.len() - 1
-    }
-
-    fn level(&self, depth: usize) -> &'g [NodeGeom<'p>] {
-        &self.nodes[self.depth_at[depth]..self.depth_at[depth + 1]]
-    }
-
-    fn leaf(&self, idx: usize) -> &'g LeafGeom {
-        &self.leaves[self.class[idx] as usize]
-    }
-}
-
-fn stall_at(stalls: Option<&[f64]>, idx: usize) -> f64 {
-    stalls.map_or(0.0, |s| s.get(idx).copied().unwrap_or(0.0))
-}
-
-impl<'a> Skeleton<'a> {
-    fn new(root: &'a GroupNode, plan: &'a PlanTree, stalls: Option<&'a [f64]>) -> Self {
-        let mut skeleton = Self {
-            slots: Vec::new(),
-            stalls,
-            depths: 0,
-        };
-        skeleton.build(root, Some(plan), 0, 0);
-        skeleton
-    }
-
-    /// Adds the slot of `group` (and its subtree) and returns its index.
-    fn build(
-        &mut self,
-        group: &'a GroupNode,
-        plan: Option<&'a PlanTree>,
-        depth: usize,
-        first_leaf: usize,
-    ) -> usize {
-        let idx = self.slots.len();
-        self.slots.push(Slot {
-            group,
-            plan: None,
-            depth,
-            leaves: 1,
-            kids: (idx, idx),
-        });
-        if let (Some((a, b)), Some(p)) = (group.children(), plan) {
-            self.depths = self.depths.max(depth + 1);
-            let (pa, pb) = p.children().map_or((None, None), |(x, y)| (Some(x), Some(y)));
-            let left = self.build(a, pa, depth + 1, first_leaf);
-            let n = self.slots[left].leaves;
-            // A bottom plan node's halves are both leaves of the walk,
-            // with no plan of their own to differ in.
-            let twin = (p.is_twin() || p.children().is_none())
-                && a.prices_alike(b)
-                && (first_leaf..first_leaf + n).all(|i| {
-                    stall_at(self.stalls, i).to_bits() == stall_at(self.stalls, i + n).to_bits()
-                });
-            let right = if twin {
-                left
-            } else {
-                self.build(b, pb, depth + 1, first_leaf + n)
-            };
-            let leaves = n + self.slots[right].leaves;
-            let slot = &mut self.slots[idx];
-            slot.plan = Some(p);
-            slot.leaves = leaves;
-            slot.kids = (left, right);
-        }
-        idx
-    }
-
-    fn layer_geoms(&self, n_layers: usize) -> TwinGeoms<'a> {
-        let walk_leaves = self.slots[0].leaves;
-        let mut geoms = TwinGeoms {
-            nodes: Vec::new(),
-            depth_at: Vec::with_capacity(n_layers * (self.depths + 1)),
-            depths: self.depths,
-            leaves: Vec::new(),
-            leaf_at: Vec::with_capacity(n_layers + 1),
-            class: vec![0; n_layers * walk_leaves],
-            walk_leaves,
-        };
-        geoms.leaf_at.push(0);
-        let mut buckets: Vec<Vec<NodeGeom<'a>>> = (0..self.depths).map(|_| Vec::new()).collect();
-        for l in 0..n_layers {
-            let class = l * walk_leaves;
-            self.walk(l, 0, ShardScales::full(), class, &mut buckets, &mut geoms);
-            geoms.depth_at.push(geoms.nodes.len());
-            for bucket in &mut buckets {
-                geoms.nodes.append(bucket);
-                geoms.depth_at.push(geoms.nodes.len());
-            }
-            geoms.leaf_at.push(geoms.leaves.len());
-        }
-        geoms
-    }
-
-    /// Walks `slot` for layer `l`, recording its distinct nodes by depth
-    /// and its distinct leaves. `first_leaf` indexes `geoms.class`: the
-    /// layer's map starts at `l · walk_leaves`.
-    fn walk(
-        &self,
-        l: usize,
-        slot: usize,
-        scales: ShardScales,
-        first_leaf: usize,
-        buckets: &mut [Vec<NodeGeom<'a>>],
-        geoms: &mut TwinGeoms<'a>,
-    ) {
-        let s = &self.slots[slot];
-        let Some(p) = s.plan else {
-            geoms.class[first_leaf] = (geoms.leaves.len() - geoms.leaf_at[l]) as u32;
-            geoms.leaves.push(LeafGeom {
-                caps: s.group.caps(),
-                scales,
-                stall: stall_at(self.stalls, first_leaf - l * geoms.walk_leaves),
-            });
-            return;
-        };
-        let (a, b) = s.group.children().expect("a planned slot has children");
-        let entry = p.plan().layer(l);
-        buckets[s.depth].push(NodeGeom {
-            depth: s.depth,
-            link_a: a.link_bw(),
-            link_b: b.link_bw(),
-            scales,
-            entry,
-            plan: p.plan(),
-        });
+/// One cut's partial-sum exchange in layer `l`'s `phase`, `None` when it
+/// moves nothing; shared by both simulators. Each forward phase
+/// additionally carries the attention-stage K/V exchange of a lowered
+/// `o` projection (each side sends its own token slice, so the sides
+/// scale by their respective input-feature shares).
+pub(crate) fn psum_secs(
+    config: &SimConfig,
+    layer: &TrainLayer,
+    table: &ClassTable,
+    cut: &CutClass,
+    phase: Phase,
+    l: usize,
+) -> Option<f64> {
+    let entry = cut.plan.layer(l);
+    let scales = table.scales(cut.lineage, l);
+    let psum = if entry.ptype.psum_phase() == phase {
+        intra_psum_elems(entry.ptype, layer) as f64 * scales.psum_scale(entry.ptype)
+    } else {
+        0.0
+    };
+    let (stage_a, stage_b) = if phase == Phase::Forward {
+        let full = attn_stage_elems(entry.ptype, layer) as f64;
         let alpha = entry.ratio.value();
-        let scales_a = scales.shrink(entry.ptype, alpha);
-        let scales_b = scales.shrink(entry.ptype, 1.0 - alpha);
-        let (left, right) = s.kids;
-        let n = self.slots[left].leaves;
-        self.walk(l, left, scales_a, first_leaf, buckets, geoms);
-        if left == right && scales_bits(scales_a) == scales_bits(scales_b) {
-            geoms.class.copy_within(first_leaf..first_leaf + n, first_leaf + n);
-        } else {
-            self.walk(l, right, scales_b, first_leaf + n, buckets, geoms);
-        }
+        (
+            full * scales.shrink(entry.ptype, alpha).f_in,
+            full * scales.shrink(entry.ptype, 1.0 - alpha).f_in,
+        )
+    } else {
+        (0.0, 0.0)
+    };
+    if psum == 0.0 && stage_a == 0.0 && stage_b == 0.0 {
+        return None;
     }
+    Some(
+        (config.format.bytes_f64(psum + stage_a) / cut.link_a)
+            .max(config.format.bytes_f64(psum + stage_b) / cut.link_b),
+    )
+}
+
+/// One cut's share of converting `edge`'s boundary tensor before the
+/// consumer's forward phase (`F`) or the producer's backward phase
+/// (`E`); shared by both simulators. The boundary tensor's shard scale
+/// follows the *consumer*'s input feature map (an approximation when the
+/// two layers' types disagree; documented in DESIGN.md).
+pub(crate) fn conversion_secs(
+    config: &SimConfig,
+    edge: &TrainEdge,
+    table: &ClassTable,
+    cut: &CutClass,
+    phase: Phase,
+) -> f64 {
+    let prev = cut.plan.layer(edge.from);
+    let next = cut.plan.layer(edge.to);
+    let scales = table.scales(cut.lineage, edge.to);
+    let boundary = (edge.boundary_elems as f64 * scales.f_in).round() as u64;
+    let (f, e) = inter_conversion_split(
+        prev.ptype,
+        prev.ratio.value(),
+        next.ptype,
+        next.ratio.value(),
+        boundary,
+        boundary,
+    );
+    let (a_elems, b_elems) = if phase == Phase::Forward { f } else { e };
+    (config.format.bytes_f64(a_elems) / cut.link_a)
+        .max(config.format.bytes_f64(b_elems) / cut.link_b)
 }
 
 #[cfg(test)]
